@@ -19,15 +19,6 @@ from .problem import Objective
 from .solver import RunResult
 
 
-@dataclass(frozen=True)
-class CriticalityPair:
-    """Approximate and true first-order measures at one iterate."""
-
-    norm_d: float
-    norm_xi: float
-    err_norm: float
-
-
 def true_criticality(obj: Objective, x, box: BoundBox) -> float:
     """||P_F(x - G(x)) - x||; reduces to ||G(x)|| without bounds."""
     x = np.asarray(x, dtype=np.float64)

@@ -124,6 +124,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_mc(args) -> int:
     config = _load_config(args, force_single=False)
+    if args.epsilon is not None and not config.diagnostics:
+        raise ConfigurationError(
+            "--epsilon needs diagnostics: min ||Xi|| is not computed with "
+            "--no-diagnostics or run.diagnostics false")
     exp = run_experiment(config)
     agg = exp.aggregate
     last = config.horizon - 1

@@ -5,8 +5,15 @@ power-iteration estimation slack for the clipped exact Hessian).  The
 solver only needs the quadratic form and the operator action; providers
 with memory (Barzilai-Borwein) are updated through ``observe`` and must
 not be shared across replications.
+
+``zero``, ``scalar_bb`` and ``diagonal_fd`` also take a batch: points and
+vectors as (R, n) arrays, one replication per row, with one quadratic form
+per row (Barzilai-Borwein keeps one scalar per row).  ``exact_clipped``
+warm-starts its power iteration from the previous point, so a batch holds
+one per row in a ``PerRow``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,24 +47,28 @@ class CurvatureProvider:
     def matvec(self, x, v) -> np.ndarray:
         return np.zeros_like(np.asarray(v, dtype=np.float64))
 
-    def quad_form(self, x, v) -> float:
+    def quad_form(self, x, v):
+        """v^T B v: a float, or an (R,) array for a batch."""
         v = np.asarray(v, dtype=np.float64)
-        return float(v @ self.matvec(x, v))
+        if v.ndim == 1:
+            return float(v @ self.matvec(x, v))
+        return np.vecdot(v, self.matvec(x, v))
 
     def observe(self, x_prev, x_new, g_prev, g_new) -> None:
         """Feed the step and gradient pair of a completed iteration."""
 
 
 class ZeroCurvature(CurvatureProvider):
-    def quad_form(self, x, v) -> float:
-        return 0.0
+    def quad_form(self, x, v):
+        return 0.0 if np.ndim(v) == 1 else np.zeros(len(v))
 
 
 class ScalarBB(CurvatureProvider):
     """Barzilai-Borwein scalar s^T y / s^T s clipped into [0, kappa_b].
 
     Negative curvature maps to the zero operator for that step; before the
-    first observed pair the operator is zero as well.
+    first observed pair the operator is zero as well.  A batch keeps one
+    scalar per row.
     """
 
     def __init__(self, kappa_b: float):
@@ -65,15 +76,29 @@ class ScalarBB(CurvatureProvider):
         self.sigma = 0.0
 
     def matvec(self, x, v):
-        return self.sigma * np.asarray(v, dtype=np.float64)
+        sigma = self.sigma
+        if isinstance(sigma, np.ndarray):  # one per row (np.ndim is slow on floats)
+            sigma = sigma[:, None]
+        return sigma * np.asarray(v, dtype=np.float64)
 
     def observe(self, x_prev, x_new, g_prev, g_new):
         s = np.asarray(x_new, dtype=np.float64) - np.asarray(x_prev, dtype=np.float64)
-        ss = float(s @ s)
-        if ss == 0.0:
+        y = np.asarray(g_new) - np.asarray(g_prev)
+        if s.ndim == 1:
+            ss = float(s @ s)
+            if ss == 0.0:
+                return
+            raw = float(s @ y) / ss
+            self.sigma = min(max(raw, 0.0), self.kappa_b)
             return
-        raw = float(s @ (np.asarray(g_new) - np.asarray(g_prev))) / ss
-        self.sigma = min(max(raw, 0.0), self.kappa_b)
+        # The same per row: np.where with Python's min/max tie and NaN
+        # rules, and a zero step keeps the row's previous scalar.
+        ss = np.vecdot(s, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = np.vecdot(s, y) / ss
+        raw = np.where(0.0 > raw, 0.0, raw)
+        raw = np.where(self.kappa_b < raw, self.kappa_b, raw)
+        self.sigma = np.where(ss == 0.0, self.sigma, raw)
 
 
 class ExactClipped(CurvatureProvider):
@@ -100,12 +125,14 @@ class ExactClipped(CurvatureProvider):
         else:
             rng = np.random.default_rng(0x9E37)
             v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(float(v @ v))
             steps = self._POWER_STEPS
         est = 0.0
         for _ in range(steps):
             hv = self._hess_vec(x, v)
-            est = float(np.linalg.norm(hv))
+            # np.linalg.norm computes sqrt(hv @ hv) too, behind a slower
+            # wrapper.
+            est = math.sqrt(float(hv @ hv))
             if est == 0.0:
                 self._power_v = None
                 return 0.0
@@ -130,17 +157,36 @@ class DiagonalFD(CurvatureProvider):
         self._grad = obj.grad
 
     def _diag(self, x):
+        # For a batch, each coordinate's two perturbed gradients are taken
+        # for all rows in one call each.
         x = np.asarray(x, dtype=np.float64)
         d = np.empty_like(x)
-        for i in range(x.shape[0]):
-            h = 1e-6 * (1.0 + abs(x[i]))
+        for i in range(x.shape[-1]):
+            h = 1e-6 * (1.0 + np.abs(x[..., i]))
             e = np.zeros_like(x)
-            e[i] = h
-            d[i] = (self._grad(x + e)[i] - self._grad(x - e)[i]) / (2.0 * h)
+            e[..., i] = h
+            d[..., i] = (self._grad(x + e)[..., i]
+                         - self._grad(x - e)[..., i]) / (2.0 * h)
         return np.clip(d, -self.kappa_b, self.kappa_b)
 
     def matvec(self, x, v):
         return self._diag(x) * np.asarray(v, dtype=np.float64)
+
+
+class PerRow:
+    """One provider per row of a batch, each called on its own row."""
+
+    def __init__(self, providers):
+        self.providers = providers
+        self.kappa_b = providers[0].kappa_b
+
+    def quad_form(self, x, v):
+        return np.array([p.quad_form(xr, vr)
+                         for p, xr, vr in zip(self.providers, x, v)])
+
+    def observe(self, x_prev, x_new, g_prev, g_new):
+        for p, *rows in zip(self.providers, x_prev, x_new, g_prev, g_new):
+            p.observe(*rows)
 
 
 def make_provider(spec: CurvatureSpec, obj: Objective) -> CurvatureProvider:

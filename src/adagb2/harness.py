@@ -23,7 +23,8 @@ from .geometry import BoundBox
 from .oracle import (AffineGaussian, BoundedUniform, ConstantBias, Exact,
                      Gaussian, RelativeBias, Subsample)
 from .problem import TestProblem, make_test_problem
-from .solver import MONITORS, RunResult, SolverParams, SolverState, run
+from .solver import (MONITORS, RunResult, SolverParams, SolverState, run,
+                     run_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -330,31 +331,44 @@ class ExperimentResult:
         return int(sum(r.total_violations for r in self.results))
 
 
-def _run_replication(config: ExperimentConfig, replication: int) -> RunResult:
+def _run_block(config: ExperimentConfig, replications) -> list:
     problem = config.build_problem()
-    return run(
+    return run_batch(
         problem, config.oracle, config.curvature, config.solver,
         horizon=config.horizon, base_seed=config.base_seed,
-        replication=replication, diagnostics=config.diagnostics,
+        replications=replications, diagnostics=config.diagnostics,
     )
 
 
-def _run_replication_from_dict(args) -> RunResult:
-    data, replication = args
-    return _run_replication(ExperimentConfig.from_dict(data), replication)
+def _run_block_from_dict(args) -> list:
+    data, replications = args
+    return _run_block(ExperimentConfig.from_dict(data), replications)
+
+
+def _blocks(count: int, parts: int) -> list:
+    """``range(count)`` cut into ``parts`` contiguous blocks, sizes within one."""
+    size, extra = divmod(count, parts)
+    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute all replications and aggregate deterministically."""
-    reps = range(config.replications)
-    if config.workers > 1 and config.replications > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(
-                _run_replication_from_dict,
-                [(config.raw, r) for r in reps],
-            ))
+    """Execute all replications and aggregate deterministically.
+
+    The replications advance together in ``run_batch`` (one alone runs
+    through ``run``).  With ``workers > 1`` each worker process takes one
+    contiguous block of replications; the blocks are merged in replication
+    order, so the results do not depend on the worker count.
+    """
+    parts = min(config.workers, config.replications)
+    if parts > 1:
+        blocks = _blocks(config.replications, parts)
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            results = [res for block in pool.map(
+                _run_block_from_dict, [(config.raw, b) for b in blocks])
+                for res in block]
     else:
-        results = [_run_replication(config, r) for r in reps]
+        results = _run_block(config, config.replications)
     return ExperimentResult(config, results, aggregate_results(results))
 
 
@@ -465,6 +479,8 @@ def markov_complexity_report(results: Sequence[RunResult], epsilon: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
+    if any(math.isnan(r.min_xi[-1]) for r in results):
+        raise ValueError("min ||Xi|| is NaN: the runs need diagnostics")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     p_a = float(np.mean([r.event_a for r in results]))
@@ -514,15 +530,16 @@ TRACE_COLUMNS = "rep,k,norm_d,norm_xi,err_norm,gamma,f,event_A"
 
 
 def write_traces_csv(path: str, results: Sequence[RunResult]) -> None:
+    # f"{v:.17g}" on a Python float is _fmt(v), "nan" included.
     lines = [TRACE_COLUMNS]
     for rep, res in enumerate(results):
         flag = "1" if res.event_a else "0"
-        for k in range(res.horizon):
-            lines.append(",".join([
-                str(rep), str(k), _fmt(res.norm_d[k]), _fmt(res.norm_xi[k]),
-                _fmt(res.err_norm[k]), _fmt(res.gamma[k]),
-                _fmt(res.f_values[k]), flag,
-            ]))
+        columns = zip(res.norm_d.tolist(), res.norm_xi.tolist(),
+                      res.err_norm.tolist(), res.gamma.tolist(),
+                      res.f_values.tolist())
+        lines.extend(
+            f"{rep},{k},{d:.17g},{xi:.17g},{err:.17g},{gam:.17g},{f:.17g},{flag}"
+            for k, (d, xi, err, gam, f) in enumerate(columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

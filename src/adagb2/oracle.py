@@ -148,34 +148,53 @@ def _needs_true_gradient(model) -> bool:
     return not isinstance(model, Subsample)
 
 
-def _sample(obj, x, model, rng, g_true):
+def _normals(rngs, n):
+    """One standard normal n-vector from each generator, stacked as rows."""
+    z = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return z
+
+
+def _sample(obj, x, model, rngs, g_true):
+    """Gradient estimates at the rows of ``x`` (R, n); row r draws from rngs[r].
+
+    Each row makes the draws of a lone n-vector, in the same order, so a
+    row's estimate does not depend on the other rows.
+    """
     if isinstance(model, Exact):
         return g_true.copy()
     if isinstance(model, Gaussian):
-        return g_true + model.sigma * rng.standard_normal(x.shape[0])
+        return g_true + model.sigma * _normals(rngs, x.shape[1])
     if isinstance(model, BoundedUniform):
-        n = x.shape[0]
-        z = rng.standard_normal(n)
-        nz = np.linalg.norm(z)
-        u = rng.random() ** (1.0 / n)
-        if nz == 0.0:
-            return g_true.copy()
-        return g_true + model.radius * u * z / nz
+        n = x.shape[1]
+        z = np.empty_like(x)
+        u = np.empty(len(rngs))
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=z[r])
+            u[r] = rng.random() ** (1.0 / n)
+        nz = np.sqrt(np.vecdot(z, z))[:, None]  # np.linalg.norm of each row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = g_true + (model.radius * u)[:, None] * z / nz
+        return np.where(nz == 0.0, g_true, g)
     if isinstance(model, AffineGaussian):
-        n = x.shape[0]
-        total = model.kappa1 + model.kappa2 * float(g_true @ g_true)
-        return g_true + math.sqrt(total / n) * rng.standard_normal(n)
+        n = x.shape[1]
+        total = model.kappa1 + model.kappa2 * np.vecdot(g_true, g_true)
+        return g_true + np.sqrt(total / n)[:, None] * _normals(rngs, n)
     if isinstance(model, ConstantBias):
-        if model.bias.shape != x.shape:
+        if model.bias.shape != x.shape[1:]:
             raise ValueError(
-                f"bias dimension {model.bias.shape} does not match x {x.shape}"
+                f"bias dimension {model.bias.shape} does not match x {x.shape[1:]}"
             )
-        return _sample(obj, x, model.inner, rng, g_true) + model.bias
+        return _sample(obj, x, model.inner, rngs, g_true) + model.bias
     if isinstance(model, RelativeBias):
-        return _sample(obj, x, model.inner, rng, g_true) + model.rho * g_true
+        return _sample(obj, x, model.inner, rngs, g_true) + model.rho * g_true
     if isinstance(model, Subsample):
-        idx = rng.choice(obj.num_terms, size=model.batch_size, replace=False)
-        return obj.term_grad(x, idx)
+        return np.stack([
+            obj.term_grad(row, rng.choice(obj.num_terms, size=model.batch_size,
+                                          replace=False))
+            for row, rng in zip(x, rngs)
+        ])
     raise TypeError(f"unknown noise model {model!r}")
 
 
@@ -195,22 +214,43 @@ def validate_model(model, obj: Objective) -> None:
 
 
 def draw(obj: Objective, x, model, rng: np.random.Generator,
-         with_true: bool = True) -> OracleDraw:
+         with_true: bool = True, validate: bool = True) -> OracleDraw:
     """Draw one gradient estimate g(x, xi) according to the noise model.
 
     ``with_true=False`` skips the true-gradient diagnostic when the model
     itself does not need G (only possible for pure subsampling).
+    ``validate=False`` skips ``validate_model``, for callers that checked
+    the model once before a loop of draws.
     """
     x = np.asarray(x, dtype=np.float64)
-    validate_model(model, obj)
+    if validate:
+        validate_model(model, obj)
     need_true = with_true or _needs_true_gradient(model)
     g_true = obj.grad(x) if need_true else None
-    g = _sample(obj, x, model, rng, g_true)
+    g = _sample(obj, x[None], model, (rng,),
+                None if g_true is None else g_true[None])[0]
     if with_true:
         e = g - g_true
         err = math.sqrt(float(e @ e))
         return OracleDraw(g, g_true, err)
     return OracleDraw(g, None, math.nan)
+
+
+def draw_rows(obj: Objective, x, model, rngs, with_true: bool = True):
+    """One gradient estimate per row of ``x`` (R, n), row r drawn from rngs[r].
+
+    Returns ``(g, g_true, err_norm)`` as (R, n), (R, n) and (R,) arrays;
+    without ``with_true`` the last two are None.  Row r equals what
+    ``draw`` returns at ``x[r]`` with ``rngs[r]``.  The objective's
+    ``grad`` is called once on the whole batch; the model is not validated.
+    """
+    need_true = with_true or _needs_true_gradient(model)
+    g_true = obj.grad(x) if need_true else None
+    g = _sample(obj, x, model, rngs, g_true)
+    if not with_true:
+        return g, None, None
+    e = g - g_true
+    return g, g_true, np.sqrt(np.vecdot(e, e))
 
 
 def empirical_rmse(obj: Objective, x, model, draws: int, seed: int) -> float:
@@ -232,7 +272,7 @@ def empirical_rmse(obj: Objective, x, model, draws: int, seed: int) -> float:
         return float(np.sqrt(np.mean(np.sum(errs * errs, axis=1))))
     acc = 0.0
     for _ in range(draws):
-        g = _sample(obj, x, model, rng, g_true)
+        g = _sample(obj, x[None], model, (rng,), g_true[None])[0]
         diff = g - g_true
         acc += float(diff @ diff)
     return math.sqrt(acc / draws)

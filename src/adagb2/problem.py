@@ -30,6 +30,13 @@ class Objective:
     ``num_terms`` are only set for finite-sum objectives and enable the
     subsampling oracle.  ``lipschitz``, when set, is a certified bound on
     the gradient Lipschitz constant over the feasible box.
+
+    ``f`` and ``grad`` take a point (n,) or a batch (R, n) of points, one
+    per row, and must give each row bit for bit what a lone call on it
+    gives: ``f`` returns a float for a point and an (R,) array for a batch.
+    Reductions over the last axis (``sum(axis=-1)``) and stacked products
+    (``np.matmul(A, x[..., None])[..., 0]``) keep that promise; ``x @ A.T``
+    does not.  ``hess_vec`` and ``term_grad`` take a single point.
     """
 
     f: Callable[[np.ndarray], float]
@@ -58,6 +65,11 @@ class TestProblem:
         object.__setattr__(self, "x_ini", x_ini)
 
 
+def _value(total):
+    """A float for one point, the (R,) array for a batch."""
+    return float(total) if total.ndim == 0 else total
+
+
 def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
     """Separable convex quadratic f(x) = 1/2 sum a_i x_i^2 - sum b_i x_i.
 
@@ -79,7 +91,7 @@ def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
     f_min = float(np.sum(0.5 * a * x_star**2 - b * x_star))
 
     objective = Objective(
-        f=lambda x: float(np.sum(0.5 * a * x * x - b * x)),
+        f=lambda x: _value((0.5 * a * x * x - b * x).sum(axis=-1)),
         grad=lambda x: a * x - b,
         hess_vec=lambda x, v: a * v,
         f_low=f_min,
@@ -89,13 +101,16 @@ def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
 
 
 def _rosenbrock_f(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return _value((100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2)
+                  .sum(axis=-1))
 
 
 def _rosenbrock_grad(x):
+    head, tail = x[..., :-1], x[..., 1:]
     g = np.zeros_like(x)
-    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
-    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    g[..., :-1] = -400.0 * head * (tail - head**2) - 2.0 * (1.0 - head)
+    g[..., 1:] += 200.0 * (tail - head**2)
     return g
 
 
@@ -149,7 +164,7 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
         box = BoundBox(np.full(dim, -2.0), np.full(dim, 2.0))
         x_ini = rng.uniform(-2.0, 2.0, dim)
         objective = Objective(
-            f=lambda x: float(np.sum(0.25 * x**4 - 0.5 * x**2)),
+            f=lambda x: _value((0.25 * x**4 - 0.5 * x**2).sum(axis=-1)),
             grad=lambda x: x**3 - x,
             hess_vec=lambda x, v: (3.0 * x**2 - 1.0) * v,
             f_low=-0.25 * dim,
@@ -167,13 +182,17 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
     labels[labels == 0] = 1.0
     signed = -labels[:, None] * features  # rows: -y_i a_i
 
+    def apply(mat, v):
+        # mat @ v for each row of v, through the same BLAS call as a lone v
+        return mat @ v if v.ndim == 1 else np.matmul(mat, v[..., None])[..., 0]
+
     def f(x):
-        return float(np.mean(np.logaddexp(0.0, signed @ x)))
+        return _value(np.logaddexp(0.0, apply(signed, x)).mean(axis=-1))
 
     def grad(x):
-        z = signed @ x
+        z = apply(signed, x)
         s = 1.0 / (1.0 + np.exp(-z))  # sigma(-y a^T x)
-        return (signed.T @ s) / m
+        return apply(signed.T, s) / m
 
     def hess_vec(x, v):
         z = signed @ x

@@ -21,7 +21,7 @@ from adagb2.geometry import BoundBox
 from adagb2.harness import aggregate_results, fit_rate, verify_deterministic_bound
 from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleDraw
 from adagb2.problem import make_test_problem
-from adagb2.solver import SolverParams, SolverState, run, step
+from adagb2.solver import SolverParams, SolverState, run, run_batch, step
 
 
 def _report(num, ok, detail):
@@ -165,9 +165,9 @@ def test_acceptance_5_stochastic_rate():
     t0 = time.monotonic()
     prob = make_test_problem("boxed_quadratic", 2, 0)
     horizon = 10**5
-    results = [run(prob, Gaussian(0.1), CurvatureSpec("zero"), SolverParams(),
-                   horizon, base_seed=0, replication=r, diagnostics=True)
-               for r in range(20)]
+    results = run_batch(prob, Gaussian(0.1), CurvatureSpec("zero"),
+                        SolverParams(), horizon, base_seed=0, replications=20,
+                        diagnostics=True)
     agg = aggregate_results(results)
     beta = float(agg.mean_err.mean())   # running average beta_k at k = 1e5
     checkpoints = (10**2, 10**3, 10**4, 10**5)
@@ -244,9 +244,8 @@ def test_acceptance_7_bias_plateau():
     oracle = ConstantBias(bias, Gaussian(0.05))
     horizon = 10**4
     gaps, d_curves = [], []
-    for r in range(8):
-        res = run(prob, oracle, CurvatureSpec("zero"), SolverParams(),
-                  horizon, base_seed=3, replication=r)
+    for res in run_batch(prob, oracle, CurvatureSpec("zero"), SolverParams(),
+                         horizon, base_seed=3, replications=8):
         beta = float(res.err_norm.mean())
         gaps.append(res.run_avg_xi[-1] - (res.run_avg_d[-1] + beta))
         d_curves.append(res.run_avg_d)

@@ -89,6 +89,16 @@ def test_mc_epsilon_report(config_path, capsys):
     assert "p_A=" in out
 
 
+def test_mc_epsilon_without_diagnostics_is_usage_error(config_path, capsys):
+    # min ||Xi|| is NaN without diagnostics, which would report 0.000
+    code = cli_main(["mc", "--config", config_path, "--no-diagnostics",
+                     "--epsilon", "0.05", "--delta", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--epsilon needs diagnostics" in captured.err
+    assert "empirical=" not in captured.out
+
+
 def test_missing_config_is_usage_error(capsys):
     code = cli_main(["run", "--config", "/nonexistent/config.json"])
     assert code == 2

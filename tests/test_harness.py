@@ -6,10 +6,11 @@ import pytest
 
 from adagb2.curvature import CurvatureSpec
 from adagb2.errors import ConfigurationError
-from adagb2.harness import (Aggregate, ExperimentConfig, aggregate_results,
-                            fit_rate, markov_complexity_report,
-                            run_experiment, verify_deterministic_bound,
-                            write_aggregate_csv, write_experiment_outputs)
+from adagb2.harness import (TRACE_COLUMNS, Aggregate, ExperimentConfig, _fmt,
+                            aggregate_results, fit_rate,
+                            markov_complexity_report, run_experiment,
+                            verify_deterministic_bound, write_aggregate_csv,
+                            write_experiment_outputs, write_traces_csv)
 from adagb2.oracle import ConstantBias, Gaussian
 from adagb2.problem import make_test_problem
 from adagb2.solver import SolverParams, run
@@ -132,12 +133,19 @@ def test_run_experiment_and_aggregate_shapes():
 
 
 def test_parallel_matches_serial():
+    # workers=2 over 3 replications: blocks of 2 and 1, merged in order.
     serial = run_experiment(ExperimentConfig.from_dict(_config()))
     parallel = run_experiment(ExperimentConfig.from_dict(
         _config(run={"workers": 2})))
+    assert len(serial.results) == len(parallel.results) == 3
     for a, b in zip(serial.results, parallel.results):
-        assert np.array_equal(a.norm_d, b.norm_d)
-        assert np.array_equal(a.final_state.x, b.final_state.x)
+        assert a.event_a == b.event_a
+        assert a.violations == b.violations
+        for name, value in vars(a).items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(b, name).tobytes(), name
+        assert a.final_state.x.tobytes() == b.final_state.x.tobytes()
+        assert a.final_state.w.tobytes() == b.final_state.w.tobytes()
 
 
 def test_aggregate_conditions_on_event_a():
@@ -216,6 +224,12 @@ def test_markov_report():
     with pytest.raises(ValueError):
         markov_complexity_report(results, epsilon=0.0, delta=0.2,
                                  kappa_conv=100.0)
+    # Without diagnostics min ||Xi|| is NaN, which no fraction can use.
+    blind = [run(prob, Gaussian(0.05), CurvatureSpec("zero"), SolverParams(),
+                 50, base_seed=1, diagnostics=False)]
+    with pytest.raises(ValueError, match="diagnostics"):
+        markov_complexity_report(blind, epsilon=0.05, delta=0.2,
+                                 kappa_conv=100.0)
 
 
 def test_csv_output_format(tmp_path):
@@ -241,6 +255,31 @@ def test_write_experiment_outputs_csv_and_json(tmp_path):
     summary = json.loads((tmp_path / "json" / "summary.json").read_text())
     assert summary["horizon"] == 50
     assert summary["p_A"] == exp.aggregate.p_a
+
+
+def test_traces_csv_matches_fmt_reference(tmp_path):
+    # Diagnostics off: the norm_xi, err_norm and f columns are all NaN.
+    exp = run_experiment(ExperimentConfig.from_dict(
+        _config(run={"diagnostics": False})))
+    assert np.isnan(exp.results[0].norm_xi).all()
+    lines = [TRACE_COLUMNS]
+    for rep, res in enumerate(exp.results):
+        flag = "1" if res.event_a else "0"
+        for k in range(res.horizon):
+            lines.append(",".join([
+                str(rep), str(k), _fmt(res.norm_d[k]), _fmt(res.norm_xi[k]),
+                _fmt(res.err_norm[k]), _fmt(res.gamma[k]),
+                _fmt(res.f_values[k]), flag,
+            ]))
+    path = tmp_path / "traces.csv"
+    write_traces_csv(str(path), exp.results)
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+def test_fmt_matches_float_format():
+    for v in (0.0, -0.0, 1.0 / 3.0, -2.5e-300, 5e-324, 1e308, np.inf,
+              -np.inf, np.nan):
+        assert _fmt(np.float64(v)) == f"{float(v):.17g}"
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):
