@@ -1,13 +1,13 @@
-"""Pure numpy implementations of the per-iteration kernels.
+"""The per-iteration kernels: numpy, writing into preallocated outputs.
 
-These are the reference semantics; the compiled backend in ``_fastcore``
-must match them exactly (same clamp ordering, same fp operations).  All
-functions expect contiguous float64 arrays of equal length and write into
-preallocated outputs.
+Every function is componentwise, so the arguments may be (n,) vectors or
+(R, n) stacks of rows (the batched engine passes the latter, with the
+bounds as (n,) vectors broadcast over the rows).
 """
 
 import numpy as np
 
+# The only backend; kept as ``adagb2.KERNEL_BACKEND`` for result metadata.
 BACKEND = "pure"
 
 

@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import _kernels
 from .analysis import (chatzigeorgiou_bound, compute_constants,
                        counterexample_closed_form, counterexample_simulate,
                        lambert_w_minus1, lemma_lambert_check,
@@ -304,7 +303,6 @@ _CHECKS = (
 
 def _cmd_check(args) -> int:
     failures = 0
-    print(f"kernel backend: {_kernels.BACKEND}")
     for name, fn in _CHECKS:
         ok = fn(args.seed)
         print(f"{'PASS' if ok else 'FAIL'} {name}")

@@ -260,6 +260,10 @@ class Aggregate:
     run_avg_d: np.ndarray
     run_avg_xi: np.ndarray
     min_xi: np.ndarray
+    """Running minimum of ||Xi_k|| over *all* aggregated replications at once:
+    entry k is the smallest ||Xi_j||, j <= k, that any replication reached.
+    A best case, not a per-replication figure; written as the ``min_xi``
+    column of ``aggregate.csv`` and as ``final_min_xi`` in ``summary.json``."""
     p_a: float
     violations: np.ndarray
     reps_used: int

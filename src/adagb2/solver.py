@@ -24,7 +24,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import _kernels
-from ._kernels import pure
 from .curvature import (CurvatureProvider, CurvatureSpec, PerRow, ZeroCurvature,
                         make_provider)
 from .errors import ConfigurationError, NumericalError
@@ -271,6 +270,16 @@ class RunResult:
         return sum(self.violations.values())
 
 
+def _check_run_args(obj, oracle_model, curvature_spec: CurvatureSpec,
+                    params: SolverParams, horizon: int) -> None:
+    """The argument checks ``run`` and ``run_batch`` share."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    validate_model(oracle_model, obj)
+    if params.step_mode == "sign_adagrad" and curvature_spec.kind != "zero":
+        raise ConfigurationError("sign_adagrad mode requires the zero provider")
+
+
 def run(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
         params: SolverParams, horizon: int, base_seed: int,
         replication: int = 0, diagnostics: bool = True,
@@ -280,12 +289,8 @@ def run(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
     The iterate sequence is fully determined by (base_seed, replication):
     oracle draws use counter-based streams indexed by iteration.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     obj = problem.objective
-    validate_model(oracle_model, obj)
-    if params.step_mode == "sign_adagrad" and curvature_spec.kind != "zero":
-        raise ConfigurationError("sign_adagrad mode requires the zero provider")
+    _check_run_args(obj, oracle_model, curvature_spec, params, horizon)
     provider = make_provider(curvature_spec, obj)
     stream = OracleStream(base_seed, replication)
     state = SolverState.initial(problem.x_ini, problem.box, params)
@@ -379,12 +384,8 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
                     diagnostics=diagnostics, slack=slack)]
     if not replications:
         raise ValueError("run_batch needs at least one replication")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     obj = problem.objective
-    validate_model(oracle_model, obj)
-    if params.step_mode == "sign_adagrad" and curvature_spec.kind != "zero":
-        raise ConfigurationError("sign_adagrad mode requires the zero provider")
+    _check_run_args(obj, oracle_model, curvature_spec, params, horizon)
     if curvature_spec.kind == "exact_clipped":
         # Its power iteration warm-starts from the previous point of the
         # same replication.
@@ -438,9 +439,8 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
         w_new = np.empty_like(x)
         delta = np.empty_like(x)
         s_l = np.empty_like(x)
-        # The numpy kernels broadcast over rows; the compiled ones take 1-d
-        # vectors only.
-        pure.first_order(x, g, lower, upper, w, d, w_new, delta, s_l)
+        # The kernels broadcast the (n,) bounds over the rows.
+        _kernels.first_order(x, g, lower, upper, w, d, w_new, delta, s_l)
 
         qf_sl = provider.quad_form(x, s_l)
         g_sl = np.vecdot(g, s_l)
@@ -477,7 +477,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
         nd = np.sqrt(np.vecdot(d, d))
         if diagnostics:
             xi = np.empty_like(x)
-            pure.project_box(x - g_true, lower, upper, xi)
+            _kernels.project_box(x - g_true, lower, upper, xi)
             xi -= x
             nxi = np.sqrt(np.vecdot(xi, xi))
             monitors.append(nxi <= nd + err + _tol_rows(slack, nxi, nd))
@@ -498,7 +498,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
 
         # Reprojection removes the last-ulp rounding of x + (P(..) - x).
         x = np.empty_like(x_raw)
-        pure.project_box(x_raw, lower, upper, x)
+        _kernels.project_box(x_raw, lower, upper, x)
         w = w_new
 
     results = []

@@ -1,21 +1,20 @@
-"""Bitwise parity between the compiled kernels and the numpy fallback."""
+"""The numpy kernels against an independent scalar reference.
 
-import os
-import subprocess
-import sys
+The reference clamps one coordinate at a time with Python's ``min``/``max``
+and ``math.sqrt``, in the kernels' order of operations, so every output
+must agree bit for bit.  Each kernel is called on 1-d vectors and once on
+an (R, n) stack of rows with (n,) bounds, the broadcasting ``run_batch``
+relies on.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
-from adagb2._kernels import BACKEND, pure
+from adagb2 import _kernels
 
-try:
-    from adagb2._kernels import _fastcore
-except ImportError:  # pragma: no cover - compiled extension missing
-    _fastcore = None
-
-needs_compiled = pytest.mark.skipif(_fastcore is None,
-                                    reason="compiled extension unavailable")
+ROWS = 300
 
 
 def _random_instance(rng, n, infinite_bounds):
@@ -30,43 +29,83 @@ def _random_instance(rng, n, infinite_bounds):
     return x, g, lower, upper, w_prev
 
 
-@needs_compiled
-@pytest.mark.parametrize("infinite_bounds", [False, True])
-def test_first_order_bitwise_parity(infinite_bounds):
-    rng = np.random.default_rng(2024)
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        x, g, lower, upper, w_prev = _random_instance(rng, n, infinite_bounds)
-        outs = []
-        for mod in (pure, _fastcore):
-            d = np.empty(n)
-            w = np.empty(n)
-            delta = np.empty(n)
-            s_l = np.empty(n)
-            mod.first_order(x, g, lower, upper, w_prev, d, w, delta, s_l)
-            outs.append((d, w, delta, s_l))
-        for a, b in zip(*outs):
+def _random_rows(rng, n, infinite_bounds):
+    """``ROWS`` instances of one size that share one box, as (R, n) arrays."""
+    rows = [_random_instance(rng, n, infinite_bounds) for _ in range(ROWS)]
+    lower, upper = rows[0][2], rows[0][3]
+    x = np.stack([np.minimum(np.maximum(r[0], lower), upper) for r in rows])
+    g = np.stack([r[1] for r in rows])
+    w_prev = np.stack([r[4] for r in rows])
+    return x, g, lower, upper, w_prev
+
+
+def _ref_box(y, lo, up):
+    return max(min(y, up), lo)
+
+
+def _ref_cap_trust(y, lo, up, center, radius):
+    return max(max(min(min(y, center + radius), up), center - radius), lo)
+
+
+def _ref_first_order(x, g, lo, up, w_prev):
+    y = x - g
+    d = _ref_box(y, lo, up) - x
+    w = math.sqrt(w_prev * w_prev + d * d)
+    delta = abs(d) / w
+    return d, w, delta, _ref_cap_trust(y, lo, up, x, delta) - x
+
+
+def _rows(*arrays):
+    """Each array as a list of rows of Python floats (a 1-d array is one row)."""
+    return [np.atleast_2d(a).tolist() for a in arrays]
+
+
+def _check_first_order(x, g, lower, upper, w_prev):
+    outs = [np.empty_like(x) for _ in range(4)]
+    _kernels.first_order(x, g, lower, upper, w_prev, *outs)
+    lo, up = lower.tolist(), upper.tolist()
+    for xr, gr, wr, *got in zip(*_rows(x, g, w_prev, *outs)):
+        ref = zip(*map(_ref_first_order, xr, gr, lo, up, wr))
+        for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
 
-@needs_compiled
-def test_projection_bitwise_parity():
+def _check_projections(y, lower, upper, center, radii):
+    box = np.empty_like(y)
+    capped = np.empty_like(y)
+    _kernels.project_box(y, lower, upper, box)
+    _kernels.project_box_cap_trust(y, lower, upper, center, radii, capped)
+    lo, up = lower.tolist(), upper.tolist()
+    for yr, cr, rr, got_box, got_capped in zip(
+            *_rows(y, center, radii, box, capped)):
+        assert np.array_equal(got_box, list(map(_ref_box, yr, lo, up)))
+        assert np.array_equal(got_capped,
+                              list(map(_ref_cap_trust, yr, lo, up, cr, rr)))
+
+
+@pytest.mark.parametrize("infinite_bounds", [False, True])
+def test_first_order_matches_scalar_reference(infinite_bounds):
+    rng = np.random.default_rng(2024)
+    for _ in range(ROWS):
+        n = int(rng.integers(1, 40))
+        _check_first_order(*_random_instance(rng, n, infinite_bounds))
+    n = int(rng.integers(1, 40))
+    _check_first_order(*_random_rows(rng, n, infinite_bounds))
+
+
+def test_projections_match_scalar_reference():
     rng = np.random.default_rng(99)
-    for _ in range(300):
+    for _ in range(ROWS):
         n = int(rng.integers(1, 40))
         x, _, lower, upper, _ = _random_instance(rng, n, True)
         y = rng.uniform(-8, 8, n)
         radii = rng.uniform(0, 3, n)
-        a1 = np.empty(n)
-        a2 = np.empty(n)
-        pure.project_box(y, lower, upper, a1)
-        _fastcore.project_box(y, lower, upper, a2)
-        assert np.array_equal(a1, a2)
-        b1 = np.empty(n)
-        b2 = np.empty(n)
-        pure.project_box_cap_trust(y, lower, upper, x, radii, b1)
-        _fastcore.project_box_cap_trust(y, lower, upper, x, radii, b2)
-        assert np.array_equal(b1, b2)
+        _check_projections(y, lower, upper, x, radii)
+    n = int(rng.integers(1, 40))
+    x, _, lower, upper, _ = _random_rows(rng, n, True)
+    y = rng.uniform(-8, 8, x.shape)
+    radii = rng.uniform(0, 3, x.shape)
+    _check_projections(y, lower, upper, x, radii)
 
 
 def test_first_order_values():
@@ -80,35 +119,9 @@ def test_first_order_values():
     w = np.empty(1)
     delta = np.empty(1)
     s_l = np.empty(1)
-    pure.first_order(x, g, lower, upper, w_prev, d, w, delta, s_l)
+    _kernels.first_order(x, g, lower, upper, w_prev, d, w, delta, s_l)
     assert d[0] == -0.5                      # P(0.5 - 2) - 0.5
     assert w[0] == np.sqrt(1.25)             # sqrt(1 + 0.25)
     assert delta[0] == 0.5 / np.sqrt(1.25)
     # s_L projects x - g onto [max(l, x-delta), min(u, x+delta)]
     assert s_l[0] == max(0.0, 0.5 - delta[0]) - 0.5
-
-
-def _child_backend(env):
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from adagb2._kernels import BACKEND; print(BACKEND)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_backend_env_override():
-    # The child inherits the parent's environment (PYTHONPATH included), so
-    # it imports the same adagb2; only the override variable differs.
-    env = {**os.environ, "ADAGB2_PURE_PYTHON": "1"}
-    assert _child_backend(env) == "pure"
-    # Without the override the child selects what the default import picks,
-    # so the test tells "override honoured" apart from "extension missing"
-    # wherever the compiled extension is built.
-    env.pop("ADAGB2_PURE_PYTHON")
-    default = "pure" if _fastcore is None else _fastcore.BACKEND
-    assert _child_backend(env) == default
-
-
-def test_active_backend_exposed():
-    assert BACKEND in ("pure", "compiled")

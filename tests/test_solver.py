@@ -4,11 +4,11 @@ import pytest
 from adagb2.curvature import CurvatureSpec, ZeroCurvature, make_provider
 from adagb2.errors import ConfigurationError, NumericalError
 from adagb2.geometry import BoundBox
-from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleDraw
+from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleDraw, Subsample
 from adagb2.problem import Objective, make_test_problem
 from adagb2.problem import TestProblem as BoxProblem  # avoid pytest collection
 from adagb2.solver import (MONITORS, SolverParams, SolverState,
-                           first_order_quantities, run, step)
+                           first_order_quantities, run, run_batch, step)
 
 
 def _draw(g, g_true=None):
@@ -126,6 +126,23 @@ def test_sign_adagrad_requires_zero_provider():
     with pytest.raises(ConfigurationError):
         run(prob, Exact(), CurvatureSpec("scalar_bb"),
             SolverParams(step_mode="sign_adagrad"), 5, base_seed=0)
+
+
+@pytest.mark.parametrize("model, kind, params, horizon, exc", [
+    (Exact(), "zero", SolverParams(), 0, ValueError),
+    (Subsample(1), "zero", SolverParams(), 5, ConfigurationError),
+    (Exact(), "scalar_bb", SolverParams(step_mode="sign_adagrad"), 5,
+     ConfigurationError),
+])
+def test_run_and_run_batch_reject_the_same_arguments(model, kind, params,
+                                                     horizon, exc):
+    prob = make_test_problem("boxed_quadratic", 2, 0)
+    messages = []
+    for fn, extra in ((run, {}), (run_batch, {"replications": 2})):
+        with pytest.raises(exc) as info:
+            fn(prob, model, CurvatureSpec(kind), params, horizon, 0, **extra)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_run_deterministic_replay():
