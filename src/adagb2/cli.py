@@ -273,6 +273,20 @@ def _check_projections(seed) -> bool:
     return True
 
 
+def _check_hess_bound(seed) -> bool:
+    """||H(x)||_2 <= hess_bound(x), H built from hess_vec columns."""
+    rng = np.random.default_rng(seed)
+    for trial in range(200):
+        n = int(rng.integers(2, 8))
+        prob = make_test_problem(PROBLEM_NAMES[trial % 4], n, trial)
+        obj = prob.objective
+        x = rng.uniform(prob.box.lower, prob.box.upper)
+        hess = np.column_stack([obj.hess_vec(x, e) for e in np.eye(n)])
+        if np.linalg.norm(hess, ord=2) > obj.hess_bound(x) * (1 + 1e-12):
+            return False
+    return True
+
+
 def _check_constants_order(seed) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -297,6 +311,7 @@ _CHECKS = (
     ("lemma_magical", _check_magical),
     ("lemma_lambert", _check_lemma_lambert),
     ("projection_properties", _check_projections),
+    ("hess_bound_certified", _check_hess_bound),
     ("constants_ordering", _check_constants_order),
 )
 

@@ -1,19 +1,17 @@
 """Bounded symmetric Hessian approximations.
 
-Every provider realizes an operator B_k with ||B_k|| <= kappa_b (up to
-power-iteration estimation slack for the clipped exact Hessian).  The
-solver only needs the quadratic form and the operator action; providers
-with memory (Barzilai-Borwein) are updated through ``observe`` and must
-not be shared across replications.
+Every provider realizes an operator B_k with ||B_k|| <= kappa_b: the zero
+operator, a Barzilai-Borwein scalar clipped into [0, kappa_b], a diagonal
+clipped entrywise, or the exact Hessian scaled down by the objective's
+certified bound on its norm.  The solver only needs the quadratic form and
+the operator action; providers with memory (Barzilai-Borwein) are updated
+through ``observe`` and must not be shared across replications.
 
-``zero``, ``scalar_bb`` and ``diagonal_fd`` also take a batch: points and
-vectors as (R, n) arrays, one replication per row, with one quadratic form
-per row (Barzilai-Borwein keeps one scalar per row).  ``exact_clipped``
-warm-starts its power iteration from the previous point, so a batch holds
-one per row in a ``PerRow``.
+Every provider also takes a batch: points and vectors as (R, n) arrays,
+one replication per row, with one quadratic form per row (Barzilai-Borwein
+keeps one scalar per row), each bit-identical to a lone call on its row.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,51 +100,32 @@ class ScalarBB(CurvatureProvider):
 
 
 class ExactClipped(CurvatureProvider):
-    """True Hessian action scaled so its norm estimate stays below kappa_b."""
+    """True Hessian action scaled by kappa_b / max(kappa_b, hess_bound(x)).
 
-    _POWER_STEPS = 20
-    _POWER_STEPS_WARM = 8
+    ``hess_bound`` is a certified upper bound on ||H(x)||, so the scaled
+    operator has norm at most kappa_b.  The provider keeps no state.
+    """
 
     def __init__(self, kappa_b: float, obj: Objective):
         super().__init__(kappa_b)
-        if obj.hess_vec is None:
+        if obj.hess_vec is None or obj.hess_bound is None:
             raise ConfigurationError(
-                "exact_clipped curvature requires an objective with a Hessian action"
+                "exact_clipped curvature requires an objective with a Hessian "
+                "action and a Hessian norm bound (hess_vec and hess_bound)"
             )
         self._hess_vec = obj.hess_vec
-        self._power_v = None
-
-    def _norm_estimate(self, x, n) -> float:
-        # Warm-start from the previous iterate's dominant direction: the
-        # iterates move slowly, so a few refinement steps suffice.
-        if self._power_v is not None and self._power_v.shape[0] == n:
-            v = self._power_v
-            steps = self._POWER_STEPS_WARM
-        else:
-            rng = np.random.default_rng(0x9E37)
-            v = rng.standard_normal(n)
-            v /= math.sqrt(float(v @ v))
-            steps = self._POWER_STEPS
-        est = 0.0
-        for _ in range(steps):
-            hv = self._hess_vec(x, v)
-            # np.linalg.norm computes sqrt(hv @ hv) too, behind a slower
-            # wrapper.
-            est = math.sqrt(float(hv @ hv))
-            if est == 0.0:
-                self._power_v = None
-                return 0.0
-            v = hv / est
-        self._power_v = v
-        return est
-
-    def _scale(self, x, n) -> float:
-        return self.kappa_b / max(self.kappa_b, self._norm_estimate(x, n))
+        self._hess_bound = obj.hess_bound
 
     def matvec(self, x, v):
         x = np.asarray(x, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        return self._scale(x, x.shape[0]) * self._hess_vec(x, v)
+        kb = self.kappa_b
+        bound = self._hess_bound(x)
+        if isinstance(bound, np.ndarray):  # one per row
+            scale = (kb / np.maximum(kb, bound))[..., None]
+        else:
+            scale = kb / max(kb, bound)
+        return scale * self._hess_vec(x, v)
 
 
 class DiagonalFD(CurvatureProvider):
@@ -157,36 +136,20 @@ class DiagonalFD(CurvatureProvider):
         self._grad = obj.grad
 
     def _diag(self, x):
-        # For a batch, each coordinate's two perturbed gradients are taken
-        # for all rows in one call each.
+        # Layer i of the (n, ..., n) stack e moves coordinate i of x (of
+        # every row of a batch) by h_i, so two gradient calls give all 2n
+        # perturbed gradients; layer i contributes its coordinate i.
         x = np.asarray(x, dtype=np.float64)
-        d = np.empty_like(x)
-        for i in range(x.shape[-1]):
-            h = 1e-6 * (1.0 + np.abs(x[..., i]))
-            e = np.zeros_like(x)
-            e[..., i] = h
-            d[..., i] = (self._grad(x + e)[..., i]
-                         - self._grad(x - e)[..., i]) / (2.0 * h)
+        h = 1e-6 * (1.0 + np.abs(x))
+        idx = np.arange(x.shape[-1])
+        e = np.zeros(idx.shape + x.shape)
+        e[idx, ..., idx] = np.moveaxis(h, -1, 0)
+        diff = self._grad(x + e)[idx, ..., idx] - self._grad(x - e)[idx, ..., idx]
+        d = np.moveaxis(diff, 0, -1) / (2.0 * h)
         return np.clip(d, -self.kappa_b, self.kappa_b)
 
     def matvec(self, x, v):
         return self._diag(x) * np.asarray(v, dtype=np.float64)
-
-
-class PerRow:
-    """One provider per row of a batch, each called on its own row."""
-
-    def __init__(self, providers):
-        self.providers = providers
-        self.kappa_b = providers[0].kappa_b
-
-    def quad_form(self, x, v):
-        return np.array([p.quad_form(xr, vr)
-                         for p, xr, vr in zip(self.providers, x, v)])
-
-    def observe(self, x_prev, x_new, g_prev, g_new):
-        for p, *rows in zip(self.providers, x_prev, x_new, g_prev, g_new):
-            p.observe(*rows)
 
 
 def make_provider(spec: CurvatureSpec, obj: Objective) -> CurvatureProvider:

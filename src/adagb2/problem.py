@@ -1,7 +1,8 @@
 """Objective bundles and the bound-constrained test-problem suite.
 
 An :class:`Objective` packages the function value, the true gradient, an
-optional Hessian action and a certified lower bound on the feasible set.
+optional Hessian action with a certified bound on the Hessian norm, and a
+certified lower bound on the feasible set.
 Solvers never look at function values (they are recorded for diagnostics
 only); the harness uses ``f_low`` and ``lipschitz`` when computing the
 theoretical complexity constants.
@@ -29,20 +30,24 @@ class Objective:
     ``term_grad(x, indices)`` (mean gradient over a subset of terms) and
     ``num_terms`` are only set for finite-sum objectives and enable the
     subsampling oracle.  ``lipschitz``, when set, is a certified bound on
-    the gradient Lipschitz constant over the feasible box.
+    the gradient Lipschitz constant over the feasible box, and
+    ``hess_bound(x)`` one on the spectral norm of the Hessian at ``x``.
 
-    ``f`` and ``grad`` take a point (n,) or a batch (R, n) of points, one
-    per row, and must give each row bit for bit what a lone call on it
-    gives: ``f`` returns a float for a point and an (R,) array for a batch.
-    Reductions over the last axis (``sum(axis=-1)``) and stacked products
+    ``f``, ``grad``, ``hess_vec(x, v)`` and ``hess_bound`` take a point (n,)
+    or a batch (R, n) of points, one per row, and must give each row bit
+    for bit what a lone call on it gives: ``f`` and ``hess_bound`` return a
+    float for a point and an (R,) array for a batch.  Reductions over the
+    last axis (``sum(axis=-1)``, ``max(axis=-1)``) and stacked products
     (``np.matmul(A, x[..., None])[..., 0]``) keep that promise; ``x @ A.T``
-    does not.  ``hess_vec`` and ``term_grad`` take a single point.
+    does not.  ``grad`` also takes any stack (..., n) of points.
+    ``term_grad`` takes a single point.
     """
 
     f: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     f_low: float
     hess_vec: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    hess_bound: Optional[Callable[[np.ndarray], float]] = None
     lipschitz: Optional[float] = None
     num_terms: Optional[int] = None
     term_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -70,6 +75,11 @@ def _value(total):
     return float(total) if total.ndim == 0 else total
 
 
+def _constant_bound(bound):
+    """``hess_bound`` of a Hessian norm bound that holds on the whole box."""
+    return lambda x: _value(np.full(np.shape(x)[:-1], bound))
+
+
 def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
     """Separable convex quadratic f(x) = 1/2 sum a_i x_i^2 - sum b_i x_i.
 
@@ -94,6 +104,7 @@ def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
         f=lambda x: _value((0.5 * a * x * x - b * x).sum(axis=-1)),
         grad=lambda x: a * x - b,
         hess_vec=lambda x, v: a * v,
+        hess_bound=_constant_bound(float(a.max())),
         f_low=f_min,
         lipschitz=float(a.max()),
     )
@@ -114,15 +125,29 @@ def _rosenbrock_grad(x):
     return g
 
 
-def _rosenbrock_hess_vec(x, v):
+def _rosenbrock_hessian(x):
+    """Diagonal and off-diagonal (i, i+1) of the tridiagonal Hessian."""
     diag = np.zeros_like(x)
-    diag[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
-    diag[1:] += 200.0
-    off = -400.0 * x[:-1]
+    diag[..., :-1] += 1200.0 * x[..., :-1] ** 2 - 400.0 * x[..., 1:] + 2.0
+    diag[..., 1:] += 200.0
+    return diag, -400.0 * x[..., :-1]
+
+
+def _rosenbrock_hess_vec(x, v):
+    diag, off = _rosenbrock_hessian(x)
     hv = diag * v
-    hv[:-1] += off * v[1:]
-    hv[1:] += off * v[:-1]
+    hv[..., :-1] += off * v[..., 1:]
+    hv[..., 1:] += off * v[..., :-1]
     return hv
+
+
+def _rosenbrock_hess_bound(x):
+    # Gershgorin: some row i has |eigenvalue| <= |diag_i| + |off_{i-1}| + |off_i|.
+    diag, off = _rosenbrock_hessian(x)
+    rows, off = np.abs(diag), np.abs(off)
+    rows[..., :-1] += off
+    rows[..., 1:] += off
+    return _value(rows.max(axis=-1))
 
 
 def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
@@ -155,6 +180,7 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
             f=_rosenbrock_f,
             grad=_rosenbrock_grad,
             hess_vec=_rosenbrock_hess_vec,
+            hess_bound=_rosenbrock_hess_bound,
             f_low=0.0,
             lipschitz=None,
         )
@@ -167,6 +193,8 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
             f=lambda x: _value((0.25 * x**4 - 0.5 * x**2).sum(axis=-1)),
             grad=lambda x: x**3 - x,
             hess_vec=lambda x, v: (3.0 * x**2 - 1.0) * v,
+            # The Hessian is diagonal, so the bound is its norm.
+            hess_bound=lambda x: _value(np.abs(3.0 * x**2 - 1.0).max(axis=-1)),
             f_low=-0.25 * dim,
             # max |3 x^2 - 1| on [-2, 2]
             lipschitz=11.0,
@@ -195,9 +223,9 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
         return apply(signed.T, s) / m
 
     def hess_vec(x, v):
-        z = signed @ x
+        z = apply(signed, x)
         s = 1.0 / (1.0 + np.exp(-z))
-        return (signed.T @ ((s * (1.0 - s)) * (signed @ v))) / m
+        return apply(signed.T, (s * (1.0 - s)) * apply(signed, v)) / m
 
     def term_grad(x, indices):
         rows = signed[indices]
@@ -206,12 +234,15 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
         return (rows.T @ s) / len(indices)
 
     spectral = float(np.linalg.norm(features, ord=2))
+    # sigma (1 - sigma) <= 1/4 bounds the Hessian A^T D A / m everywhere.
+    lipschitz = spectral**2 / (4.0 * m)
     objective = Objective(
         f=f,
         grad=grad,
         hess_vec=hess_vec,
+        hess_bound=_constant_bound(lipschitz),
         f_low=0.0,
-        lipschitz=spectral**2 / (4.0 * m),
+        lipschitz=lipschitz,
         num_terms=m,
         term_grad=term_grad,
     )

@@ -10,8 +10,9 @@ in traces for diagnostics only.
 
 Every iteration is checked against the per-realization inequalities the
 theory guarantees (linear-decrease, Cauchy-decrease, step bounds,
-feasibility, the criticality triangle inequality); violations are counted
-and reported, and should be zero up to floating-point slack.
+feasibility, the curvature bound |s^T B s| <= kappa_b ||s||^2 on the
+first-order step, the criticality triangle inequality); violations are
+counted and reported, and should be zero up to floating-point slack.
 
 ``run`` advances one replication; ``run_batch`` advances several as one
 (R, n) state and gives each the results ``run`` gives it, bit for bit.
@@ -24,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .curvature import (CurvatureProvider, CurvatureSpec, PerRow, ZeroCurvature,
+from .curvature import (CurvatureProvider, CurvatureSpec, ZeroCurvature,
                         make_provider)
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, project_box
@@ -41,7 +42,8 @@ MONITORS = (
     "cauchy_decrease",
     "model_decrease",
     "gen_decrease",
-    "xi_triangle",
+    "curvature_bound",
+    "xi_triangle",  # last: only checked with diagnostics
 )
 
 
@@ -143,9 +145,9 @@ def _tol_rows(slack, *values):
 
 
 def _decrease_monitors(tol, slack, g_sl, g_s, model_q, model_s, sum_d2_w,
-                       norm_sl_sq, norm_delta_sq, kappa_b, params):
-    """The five decrease inequalities: on floats with ``tol=_tol``, or on
-    (R,) arrays with ``tol=_tol_rows``."""
+                       qf_sl, norm_sl_sq, norm_delta_sq, kappa_b, params):
+    """The five decrease inequalities and the curvature bound: on floats
+    with ``tol=_tol``, or on (R,) arrays with ``tol=_tol_rows``."""
     sigma, tau, kappa_s = params.sigma, params.tau, params.kappa_s
     return {
         "gsl_lower": g_sl <= -sigma * sum_d2_w + tol(slack, g_sl, sum_d2_w),
@@ -160,6 +162,9 @@ def _decrease_monitors(tol, slack, g_sl, g_s, model_q, model_s, sum_d2_w,
         <= -(tau * sigma**2 / (2.0 * kappa_b)) * sum_d2_w
         + 0.5 * kappa_s**2 * kappa_b * norm_delta_sq
         + tol(slack, g_s, sum_d2_w, norm_delta_sq),
+        # kappa_b >= 1, so leaving norm_sl_sq out of the slack's scale
+        # changes no outcome.
+        "curvature_bound": abs(qf_sl) <= kappa_b * norm_sl_sq + tol(slack, qf_sl),
     }
 
 
@@ -208,7 +213,7 @@ def step(state: SolverState, oracle_draw: OracleDraw,
         **_decrease_monitors(
             _tol, slack, float(g @ s_l), g_s,
             float(g @ s_q) + 0.5 * qf_sq, g_s + 0.5 * qf_s,
-            float((d * d / w_new).sum()), float(s_l @ s_l),
+            float((d * d / w_new).sum()), qf_sl, float(s_l @ s_l),
             float(delta @ delta), provider.kappa_b, params),
     }
 
@@ -386,13 +391,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
         raise ValueError("run_batch needs at least one replication")
     obj = problem.objective
     _check_run_args(obj, oracle_model, curvature_spec, params, horizon)
-    if curvature_spec.kind == "exact_clipped":
-        # Its power iteration warm-starts from the previous point of the
-        # same replication.
-        provider = PerRow([make_provider(curvature_spec, obj)
-                           for _ in replications])
-    else:
-        provider = make_provider(curvature_spec, obj)
+    provider = make_provider(curvature_spec, obj)
     streams = [OracleStream(base_seed, r) for r in replications]
     box = problem.box
     lower, upper = box.lower, box.upper
@@ -471,7 +470,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
             (np.abs(s) <= kappa_s * delta + feas_tol).all(axis=1),
             *_decrease_monitors(
                 _tol_rows, slack, g_sl, g_s, g_sq + 0.5 * qf_sq, g_s + 0.5 * qf_s,
-                (d * d / w_new).sum(axis=1), np.vecdot(s_l, s_l),
+                (d * d / w_new).sum(axis=1), qf_sl, np.vecdot(s_l, s_l),
                 np.vecdot(delta, delta), provider.kappa_b, params).values(),
         ]
         nd = np.sqrt(np.vecdot(d, d))

@@ -142,7 +142,7 @@ def test_check_subcommand(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
 
 
 def test_verify_deterministic(capsys):

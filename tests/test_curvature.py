@@ -1,10 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
+from adagb2 import solver
 from adagb2.curvature import (CurvatureSpec, DiagonalFD, ExactClipped,
                               ScalarBB, ZeroCurvature, make_provider)
 from adagb2.errors import ConfigurationError
-from adagb2.problem import Objective, make_test_problem
+from adagb2.oracle import Gaussian
+from adagb2.problem import PROBLEM_NAMES, Objective, make_test_problem
 
 QUAD = make_test_problem("boxed_quadratic", 5, 0)  # Hessian diag(1..4)
 
@@ -61,8 +65,8 @@ def test_exact_clipped_scales_large_hessian():
     for _ in range(5):
         v = rng.standard_normal(5)
         hv = p.matvec(x, v)
-        # scaled operator norm must respect kappa_b (power-iteration
-        # estimate is tight for a diagonal matrix)
+        # scaled operator norm must respect kappa_b (the quadratic's bound
+        # max(a) is its Hessian norm)
         assert np.linalg.norm(hv) <= 1.0 * np.linalg.norm(v) * (1 + 1e-9)
     # the scale should be ~ 1/4 since ||H|| = 4
     e_last = np.zeros(5)
@@ -70,15 +74,68 @@ def test_exact_clipped_scales_large_hessian():
     assert p.matvec(x, e_last)[-1] == pytest.approx(1.0, rel=1e-6)
 
 
-def test_exact_clipped_warm_start_consistent():
-    # Repeated calls at the same point agree after warm starting.
-    p = ExactClipped(1.0, QUAD.objective)
-    x = np.full(5, 0.5)
-    v = np.ones(5)
+def test_exact_clipped_is_stateless():
+    # A call depends on (x, v) alone: the same bits at a point before and
+    # after calls elsewhere, and a fresh provider agrees.
+    prob = make_test_problem("boxed_rosenbrock", 6, 0)
+    p = ExactClipped(16.0, prob.objective)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-2.0, 2.0, 6)
+    v = rng.standard_normal(6)
     first = p.quad_form(x, v)
-    second = p.quad_form(x, v)
-    # the warm-started norm estimate may refine the scale slightly
-    assert first == pytest.approx(second, rel=1e-3)
+    for _ in range(3):
+        p.quad_form(rng.uniform(-2.0, 2.0, 6), rng.standard_normal(6))
+    assert p.quad_form(x, v) == first
+    assert ExactClipped(16.0, prob.objective).quad_form(x, v) == first
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_exact_clipped_batch_matches_rows(name):
+    prob = make_test_problem(name, 5, 2)
+    p = ExactClipped(2.0, prob.objective)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(prob.box.lower, prob.box.upper, (4, 5))
+    v = rng.standard_normal((4, 5))
+    rows = [p.quad_form(xr, vr) for xr, vr in zip(x, v)]
+    assert p.quad_form(x, v).tobytes() == np.array(rows).tobytes()
+    rows = np.array([p.matvec(xr, vr) for xr, vr in zip(x, v)])
+    assert p.matvec(x, v).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("name, dim, kappa_b", [
+    ("boxed_rosenbrock", 6, 16.0),
+    ("boxed_rosenbrock", 20, 16.0),
+    ("boxed_nonconvex_quartic", 6, 1.0),
+])
+def test_exact_clipped_norm_stays_below_kappa_b_along_runs(monkeypatch, name,
+                                                           dim, kappa_b):
+    # Replays 2000-step runs and builds each B_k densely, column by column,
+    # at the point where the solver asks for its quadratic form.  Every
+    # column comes from a copy of the provider as the solver finds it, so
+    # a provider with memory is measured as it is used.
+    ratios = []
+
+    def recording(spec, obj):
+        provider = make_provider(spec, obj)
+        quad_form = provider.quad_form
+
+        def quad_form_recorded(x, v):
+            b = np.column_stack([copy.deepcopy(provider).matvec(x, e)
+                                 for e in np.eye(len(x))])
+            ratios.append(np.linalg.norm(b, ord=2) / spec.kappa_b)
+            return quad_form(x, v)
+
+        provider.quad_form = quad_form_recorded
+        return provider
+
+    monkeypatch.setattr(solver, "make_provider", recording)
+    prob = make_test_problem(name, dim, 0)
+    res = solver.run(prob, Gaussian(0.1), CurvatureSpec("exact_clipped", kappa_b),
+                     solver.SolverParams(), 2000, base_seed=0,
+                     diagnostics=False)
+    assert len(ratios) == 2000
+    assert max(ratios) <= 1.0 + 1e-12
+    assert res.total_violations == 0
 
 
 def test_exact_clipped_requires_hessian():
@@ -87,12 +144,46 @@ def test_exact_clipped_requires_hessian():
         ExactClipped(1.0, obj)
 
 
+def test_exact_clipped_requires_hessian_bound():
+    obj = Objective(f=lambda x: 0.0, grad=lambda x: np.zeros_like(x),
+                    hess_vec=lambda x, v: v, f_low=0.0)
+    with pytest.raises(ConfigurationError, match="hess_bound"):
+        ExactClipped(1.0, obj)
+    with pytest.raises(ConfigurationError, match="hess_bound"):
+        make_provider(CurvatureSpec("exact_clipped", 1.0), obj)
+
+
 def test_diagonal_fd_on_quadratic():
     p = DiagonalFD(10.0, QUAD.objective)
     x = np.full(5, 0.5)
     v = np.ones(5)
     a = np.linspace(1.0, 4.0, 5)
     assert np.allclose(p.matvec(x, v), a, rtol=1e-6)
+
+
+def _diag_per_coordinate(grad, kappa_b, x):
+    # The per-coordinate loop: two perturbed gradients per coordinate.
+    d = np.empty_like(x)
+    for i in range(x.shape[-1]):
+        h = 1e-6 * (1.0 + np.abs(x[..., i]))
+        e = np.zeros_like(x)
+        e[..., i] = h
+        d[..., i] = (grad(x + e)[..., i] - grad(x - e)[..., i]) / (2.0 * h)
+    return np.clip(d, -kappa_b, kappa_b)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (4, 6)])
+def test_diagonal_fd_stack_matches_per_coordinate_loop(name, shape):
+    prob = make_test_problem(name, 6, 1)
+    p = DiagonalFD(16.0, prob.objective)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        x = rng.uniform(prob.box.lower, prob.box.upper, shape)
+        ref = _diag_per_coordinate(prob.objective.grad, 16.0, x)
+        got = p._diag(x)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_diagonal_fd_clips():

@@ -42,6 +42,48 @@ def test_hess_vec_matches_gradient_differences(name):
     assert np.allclose(obj.hess_vec(x, v), hv_fd, rtol=1e-4, atol=1e-4)
 
 
+def _dense_hessian(hess_vec, x):
+    return np.column_stack([hess_vec(x, e) for e in np.eye(x.shape[0])])
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("dim", [2, 5])
+def test_hess_bound_is_certified(name, dim):
+    prob = make_test_problem(name, dim, 4)
+    obj = prob.objective
+    rng = np.random.default_rng(12)
+    x = rng.uniform(prob.box.lower, prob.box.upper, (20, dim))
+    # corners and the origin too: the extremes of the quartic and
+    # Rosenbrock Hessians sit on the box boundary
+    x = np.vstack([x, prob.box.lower, prob.box.upper, np.zeros(dim)])
+    batched = obj.hess_bound(x)
+    assert isinstance(batched, np.ndarray) and batched.shape == (len(x),)
+    for xr, b in zip(x, batched):
+        single = obj.hess_bound(xr)
+        assert isinstance(single, float) and single == b
+        norm = np.linalg.norm(_dense_hessian(obj.hess_vec, xr), ord=2)
+        assert norm <= single * (1.0 + 1e-12)
+
+
+def test_quartic_hess_bound_is_exact():
+    prob = make_test_problem("boxed_nonconvex_quartic", 4, 0)
+    x = np.array([0.1, -2.0, 0.5, 1.0])
+    assert prob.objective.hess_bound(x) == 11.0
+    h = _dense_hessian(prob.objective.hess_vec, x)
+    assert np.linalg.norm(h, ord=2) == pytest.approx(11.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_hess_vec_batch_matches_rows(name):
+    prob = make_test_problem(name, 5, 6)
+    obj = prob.objective
+    rng = np.random.default_rng(13)
+    x = rng.uniform(prob.box.lower, prob.box.upper, (4, 5))
+    v = rng.standard_normal((4, 5))
+    rows = np.array([obj.hess_vec(xr, vr) for xr, vr in zip(x, v)])
+    assert obj.hess_vec(x, v).tobytes() == rows.tobytes()
+
+
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_f_low_is_a_lower_bound_on_samples(name):
     prob = make_test_problem(name, 6, 5)

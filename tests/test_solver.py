@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from adagb2.curvature import CurvatureSpec, ZeroCurvature, make_provider
+from adagb2 import solver
+from adagb2.curvature import (CurvatureProvider, CurvatureSpec, ZeroCurvature,
+                              make_provider)
 from adagb2.errors import ConfigurationError, NumericalError
 from adagb2.geometry import BoundBox
 from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleDraw, Subsample
@@ -90,7 +92,8 @@ def test_gamma_shrinks_with_strong_curvature():
     prob = make_test_problem("boxed_quadratic", 1, 0)
     box = BoundBox.unbounded(1)
     obj = Objective(f=prob.objective.f, grad=prob.objective.grad,
-                    hess_vec=lambda x, v: 50.0 * v, f_low=-1e6)
+                    hess_vec=lambda x, v: 50.0 * v,
+                    hess_bound=lambda x: 50.0, f_low=-1e6)
     provider = make_provider(CurvatureSpec("exact_clipped", 100.0), obj)
     params = SolverParams()
     st = SolverState.initial(np.zeros(1), box, params)
@@ -143,6 +146,31 @@ def test_run_and_run_batch_reject_the_same_arguments(model, kind, params,
             fn(prob, model, CurvatureSpec(kind), params, horizon, 0, **extra)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+class _Multiple(CurvatureProvider):
+    """B = factor * kappa_b * I."""
+
+    factor = 1.0
+
+    def matvec(self, x, v):
+        return self.factor * self.kappa_b * np.asarray(v, dtype=np.float64)
+
+
+@pytest.mark.parametrize("factor, fails", [(1.0, False), (1.5, True)])
+def test_curvature_bound_monitor(monkeypatch, factor, fails):
+    # kappa_b I sits on the bound and must pass; 1.5 kappa_b I must be
+    # flagged on every step, by run() and by run_batch() alike.
+    monkeypatch.setattr(_Multiple, "factor", factor)
+    monkeypatch.setattr(solver, "make_provider",
+                        lambda spec, obj: _Multiple(spec.kappa_b))
+    prob = make_test_problem("boxed_quadratic", 3, 0)
+    args = (prob, Gaussian(0.1), CurvatureSpec("scalar_bb", 3.0),
+            SolverParams(), 50, 0)
+    results = [run(*args)] + run_batch(*args, replications=[0, 1])
+    for res in results:
+        assert res.violations["curvature_bound"] == (50 if fails else 0)
+    assert results[0].violations == results[1].violations
 
 
 def test_run_deterministic_replay():
