@@ -32,7 +32,7 @@ class CurvatureSpec:
             raise ValueError(
                 f"unknown curvature kind {self.kind!r}; choose from {CURVATURE_KINDS}"
             )
-        if self.kappa_b < 1.0:
+        if not self.kappa_b >= 1.0:  # NaN fails too
             raise ValueError(f"kappa_b must be >= 1, got {self.kappa_b}")
 
 

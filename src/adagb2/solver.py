@@ -12,14 +12,16 @@ Every iteration is checked against the per-realization inequalities the
 theory guarantees (linear-decrease, Cauchy-decrease, step bounds,
 feasibility, the curvature bound |s^T B s| <= kappa_b ||s||^2 on the
 first-order step, the criticality triangle inequality); violations are
-counted and reported, and should be zero up to floating-point slack.
+counted and reported, and should be zero up to floating-point slack.  Each
+iteration records the scalar inputs of these monitors, and one function
+checks the recorded inputs of a block of ``BLOCK`` iterations at once.
 
 ``run`` advances one replication; ``run_batch`` advances several as one
 (R, n) state and gives each the results ``run`` gives it, bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -46,6 +48,8 @@ MONITORS = (
     "xi_triangle",  # last: only checked with diagnostics
 )
 
+BLOCK = 256  # iterations whose monitor inputs are checked together
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -59,7 +63,7 @@ class SolverParams:
             raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if self.kappa_s < 1.0:
+        if not self.kappa_s >= 1.0:  # NaN fails too
             raise ValueError(f"kappa_s must be >= 1, got {self.kappa_s}")
         if self.step_mode not in STEP_MODES:
             raise ValueError(
@@ -81,19 +85,26 @@ class SolverState:
 
 @dataclass
 class IterationTrace:
-    k: int
-    g: np.ndarray
-    d: np.ndarray
-    delta: np.ndarray
     s_l: np.ndarray
     gamma: float
-    s_q: np.ndarray
     s: np.ndarray
     norm_d: float
     norm_xi: float
     err_norm: float
-    f_value: float
-    monitors: dict
+    # g.s_L, g.s, g.s_Q, s_L^T B s_L, s^T B s, sum d^2/w, ||s_L||^2 and
+    # ||delta||^2: the scalar monitor inputs, in _monitor_checks' order.
+    inputs: tuple
+    vector_ok: tuple  # the feasible and step_bound monitors
+    limits: tuple  # kappa_b, params, slack and whether g_true was given
+
+    @property
+    def monitors(self) -> dict:
+        """This iteration's monitors by name; xi_triangle needs g_true."""
+        kappa_b, params, slack, with_true = self.limits
+        xi = (self.norm_xi, self.norm_d, self.err_norm) if with_true else None
+        checks = _monitor_checks(self.inputs, *self.vector_ok, self.gamma, xi,
+                                 kappa_b, params, slack)
+        return {name: bool(ok) for name, ok in zip(MONITORS, checks)}
 
 
 def first_order_quantities(state: SolverState, g, box: BoundBox):
@@ -105,20 +116,10 @@ def first_order_quantities(state: SolverState, g, box: BoundBox):
         raise NumericalError(
             f"non-finite gradient estimate at iteration {state.k}: {g}"
         )
-    n = g.shape[0]
-    d = np.empty(n)
-    w_new = np.empty(n)
-    delta = np.empty(n)
-    s_l = np.empty(n)
+    d, w_new, delta, s_l = np.empty((4,) + g.shape)
     _kernels.first_order(state.x, g, box.lower, box.upper, state.w, d, w_new,
                          delta, s_l)
     return d, w_new, delta, s_l
-
-
-def _cauchy_gamma(g, s_l, curv: float) -> float:
-    if curv > 0.0:
-        return min(1.0, -float(g @ s_l) / curv)
-    return 1.0
 
 
 def _sign_step(g, delta, x, box: BoundBox):
@@ -127,115 +128,109 @@ def _sign_step(g, delta, x, box: BoundBox):
     return s
 
 
+def _vector_checks(x, x_raw, s, delta, box: BoundBox, kappa_s, slack):
+    """The feasible and step_bound monitors over the last axis of x + s."""
+    tol = slack * (1.0 + np.abs(x))
+    inside = (x_raw >= box.lower - tol) & (x_raw <= box.upper + tol)
+    return (inside.all(axis=-1),
+            (np.abs(s) <= kappa_s * delta + tol).all(axis=-1))
+
+
 def _tol(slack, *values):
-    m = 1.0
-    for v in values:
-        av = abs(v)
-        if av > m:
-            m = av
-    return slack * m
-
-
-def _tol_rows(slack, *values):
-    """``_tol`` of each row: np.fmax skips NaN as ``_tol``'s ``>`` does."""
+    """slack times the largest of 1 and each |v|; np.fmax skips a NaN v."""
     m = 1.0
     for v in values:
         m = np.fmax(m, np.abs(v))
     return slack * m
 
 
-def _decrease_monitors(tol, slack, g_sl, g_s, model_q, model_s, sum_d2_w,
-                       qf_sl, norm_sl_sq, norm_delta_sq, kappa_b, params):
-    """The five decrease inequalities and the curvature bound: on floats
-    with ``tol=_tol``, or on (R,) arrays with ``tol=_tol_rows``."""
+def _monitor_checks(inputs, feasible, step_bound, gamma, xi, kappa_b, params,
+                    slack):
+    """The monitors in ``MONITORS`` order, elementwise over any shape.
+
+    ``inputs`` unpacks into the eight scalars ``IterationTrace.inputs``
+    lists; ``xi`` is (norm_xi, norm_d, err_norm), or None to leave out
+    xi_triangle.  Every operation is elementwise, so a block of iterations
+    gets the bits that each iteration would get alone.
+    """
+    g_sl, g_s, g_sq, qf_sl, qf_s, sum_d2_w, norm_sl_sq, norm_delta_sq = inputs
     sigma, tau, kappa_s = params.sigma, params.tau, params.kappa_s
-    return {
-        "gsl_lower": g_sl <= -sigma * sum_d2_w + tol(slack, g_sl, sum_d2_w),
-        "gsl_norm": abs(g_sl)
-        >= sigma * norm_sl_sq - tol(slack, g_sl, norm_sl_sq),
-        "cauchy_decrease": model_q
-        <= -(sigma**2 / (2.0 * kappa_b)) * sum_d2_w
-        + tol(slack, model_q, sum_d2_w),
-        "model_decrease": model_s
-        <= tau * model_q + tol(slack, model_s, model_q),
-        "gen_decrease": g_s
-        <= -(tau * sigma**2 / (2.0 * kappa_b)) * sum_d2_w
+    model_q = g_sq + 0.5 * (gamma * gamma * qf_sl)
+    model_s = g_s + 0.5 * qf_s
+    checks = [
+        feasible,
+        step_bound,
+        g_sl <= -sigma * sum_d2_w + _tol(slack, g_sl, sum_d2_w),
+        np.abs(g_sl) >= sigma * norm_sl_sq - _tol(slack, g_sl, norm_sl_sq),
+        model_q <= -(sigma**2 / (2.0 * kappa_b)) * sum_d2_w
+        + _tol(slack, model_q, sum_d2_w),
+        model_s <= tau * model_q + _tol(slack, model_s, model_q),
+        g_s <= -(tau * sigma**2 / (2.0 * kappa_b)) * sum_d2_w
         + 0.5 * kappa_s**2 * kappa_b * norm_delta_sq
-        + tol(slack, g_s, sum_d2_w, norm_delta_sq),
+        + _tol(slack, g_s, sum_d2_w, norm_delta_sq),
         # kappa_b >= 1, so leaving norm_sl_sq out of the slack's scale
         # changes no outcome.
-        "curvature_bound": abs(qf_sl) <= kappa_b * norm_sl_sq + tol(slack, qf_sl),
-    }
+        np.abs(qf_sl) <= kappa_b * norm_sl_sq + _tol(slack, qf_sl),
+    ]
+    if xi is not None:
+        norm_xi, norm_d, err = xi
+        checks.append(norm_xi <= norm_d + err + _tol(slack, norm_xi, norm_d))
+    return checks
 
 
 def step(state: SolverState, oracle_draw: OracleDraw,
          provider: CurvatureProvider, box: BoundBox, params: SolverParams,
          slack: float = 1e-10):
-    """Advance one iteration and record the trace with monitor results."""
+    """Advance one iteration; the trace holds its monitor inputs."""
     x = state.x
     g = oracle_draw.g
     d, w_new, delta, s_l = first_order_quantities(state, g, box)
 
     qf_sl = provider.quad_form(x, s_l)
-    gamma = _cauchy_gamma(g, s_l, qf_sl)
+    g_sl = float(g @ s_l)
+    gamma = min(1.0, -g_sl / qf_sl) if qf_sl > 0.0 else 1.0
     s_q = gamma * s_l
     qf_sq = gamma * gamma * qf_sl
+    g_sq = float(g @ s_q)
 
     mode = params.step_mode
     if mode == "cauchy":
-        s, qf_s = s_q, qf_sq
+        s, qf_s, g_s = s_q, qf_sq, g_sq
     elif mode == "first_order":
-        s, qf_s = s_l, qf_sl
+        s, qf_s, g_s = s_l, qf_sl, g_sl
     else:
         if not isinstance(provider, ZeroCurvature):
             raise ConfigurationError("sign_adagrad mode requires the zero provider")
         s = _sign_step(g, delta, x, box)
-        qf_s = 0.0
+        qf_s, g_s = 0.0, float(g @ s)
         # With B = 0 the model decrease condition reads g^T s <= tau g^T s_q;
         # the feasibility clamp can break it near an active bound, in which
         # case the projected first-order step is always admissible.
-        if float(g @ s) > params.tau * float(g @ s_q):
-            s, qf_s = s_l, qf_sl
+        if g_s > params.tau * g_sq:
+            s, qf_s, g_s = s_l, qf_sl, g_sl
 
-    # Per-realization inequality monitors (all provable, so violations
-    # beyond fp slack indicate a bug).
-    g_s = float(g @ s)
+    # The monitor inputs (every monitor is provable, so a violation beyond
+    # fp slack indicates a bug); the vector checks are made here.
     x_raw = x + s
-    feas_tol = slack * (1.0 + np.abs(x))
-    monitors = {
-        "feasible": bool(
-            (x_raw >= box.lower - feas_tol).all()
-            and (x_raw <= box.upper + feas_tol).all()
-        ),
-        "step_bound": bool(
-            (np.abs(s) <= params.kappa_s * delta + feas_tol).all()
-        ),
-        **_decrease_monitors(
-            _tol, slack, float(g @ s_l), g_s,
-            float(g @ s_q) + 0.5 * qf_sq, g_s + 0.5 * qf_s,
-            float((d * d / w_new).sum()), qf_sl, float(s_l @ s_l),
-            float(delta @ delta), provider.kappa_b, params),
-    }
+    vector_ok = _vector_checks(x, x_raw, s, delta, box, params.kappa_s, slack)
+    inputs = (g_sl, g_s, g_sq, qf_sl, qf_s, (d * d / w_new).sum(), s_l @ s_l,
+              delta @ delta)
 
     norm_d = math.sqrt(float(d @ d))
-    if oracle_draw.g_true is not None:
+    norm_xi = err = np.nan
+    with_true = oracle_draw.g_true is not None
+    if with_true:
         xi = project_box(x - oracle_draw.g_true, box) - x
         norm_xi = math.sqrt(float(xi @ xi))
         err = oracle_draw.err_norm
-        monitors["xi_triangle"] = norm_xi <= norm_d + err + _tol(
-            slack, norm_xi, norm_d
-        )
-    else:
-        norm_xi = np.nan
-        err = np.nan
 
     # Reprojection removes the last-ulp rounding of x + (P(..) - x).
     x_new = project_box(x_raw, box)
     new_state = SolverState(x=x_new, w=w_new, k=state.k + 1)
     trace = IterationTrace(
-        k=state.k, g=g, d=d, delta=delta, s_l=s_l, gamma=gamma, s_q=s_q, s=s,
-        norm_d=norm_d, norm_xi=norm_xi, err_norm=err, f_value=np.nan,
-        monitors=monitors,
+        s_l=s_l, gamma=gamma, s=s, norm_d=norm_d, norm_xi=norm_xi,
+        err_norm=err, inputs=inputs, vector_ok=vector_ok,
+        limits=(provider.kappa_b, params, slack, with_true),
     )
     return new_state, trace
 
@@ -256,7 +251,6 @@ class RunResult:
     violations: dict
     violation_count: np.ndarray  # failed monitors per iteration
     final_state: SolverState
-    traces: list = field(default_factory=list)
 
     @property
     def run_avg_d(self) -> np.ndarray:
@@ -275,6 +269,52 @@ class RunResult:
         return sum(self.violations.values())
 
 
+class _Histories:
+    """The per-iteration histories of a run and its monitor checks.
+
+    ``rows`` is the leading shape of every array: () for ``run``, (R,) for
+    ``run_batch``.  Iteration k records its monitor inputs at
+    ``inputs[k % BLOCK]`` and ``vector_ok[k % BLOCK]``; ``check`` evaluates
+    a block of them and adds up the violations.
+    """
+
+    def __init__(self, rows, horizon, diagnostics, kappa_b, params, slack):
+        shape = rows + (horizon,)
+        self.norm_d, self.gamma, self.step_sq = (np.empty(shape) for _ in range(3))
+        self.norm_xi, self.err_norm, self.f_values, self.dir_err = (
+            np.full(shape, np.nan) for _ in range(4))
+        self.violation_count = np.zeros(shape, dtype=np.int64)
+        self.inputs = np.empty((BLOCK, 8) + rows)
+        self.vector_ok = np.empty((BLOCK, 2) + rows, dtype=bool)
+        self.xi = (self.norm_xi, self.norm_d, self.err_norm) if diagnostics else None
+        self.checked = MONITORS if diagnostics else MONITORS[:-1]
+        self.failed = np.zeros(rows + (len(self.checked),), dtype=np.int64)
+        self._limits = kappa_b, params, slack
+
+    def check(self, k0, m):
+        """Check iterations k0 to k0 + m - 1, recorded in slots 0 to m - 1."""
+        block = np.s_[..., k0:k0 + m]
+        xi = None if self.xi is None else [h[block] for h in self.xi]
+        bad = ~np.stack(_monitor_checks(
+            np.moveaxis(self.inputs[:m], 0, -1),
+            *np.moveaxis(self.vector_ok[:m], 0, -1), self.gamma[block], xi,
+            *self._limits), axis=-1)  # monitors last
+        self.failed += bad.sum(axis=-2)
+        self.violation_count[block] = bad.sum(axis=-1)
+
+    def result(self, row, event_a, final_state) -> RunResult:
+        """The result of ``row``: () for run's only row, (r,) for row r."""
+        violations = dict.fromkeys(MONITORS, 0)
+        violations.update(zip(self.checked, self.failed[row].tolist()))
+        return RunResult(
+            horizon=self.gamma.shape[-1], event_a=event_a,
+            norm_d=self.norm_d[row], norm_xi=self.norm_xi[row],
+            err_norm=self.err_norm[row], gamma=self.gamma[row],
+            f_values=self.f_values[row], dir_err=self.dir_err[row],
+            step_sq=self.step_sq[row], violations=violations,
+            violation_count=self.violation_count[row], final_state=final_state)
+
+
 def _check_run_args(obj, oracle_model, curvature_spec: CurvatureSpec,
                     params: SolverParams, horizon: int) -> None:
     """The argument checks ``run`` and ``run_batch`` share."""
@@ -288,7 +328,7 @@ def _check_run_args(obj, oracle_model, curvature_spec: CurvatureSpec,
 def run(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
         params: SolverParams, horizon: int, base_seed: int,
         replication: int = 0, diagnostics: bool = True,
-        keep_traces: bool = False, slack: float = 1e-10) -> RunResult:
+        slack: float = 1e-10) -> RunResult:
     """Run the algorithm for a fixed horizon (no stopping test).
 
     The iterate sequence is fully determined by (base_seed, replication):
@@ -301,16 +341,8 @@ def run(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
     state = SolverState.initial(problem.x_ini, problem.box, params)
     box = problem.box
 
-    norm_d = np.empty(horizon)
-    norm_xi = np.full(horizon, np.nan)
-    err_norm = np.full(horizon, np.nan)
-    gamma_hist = np.empty(horizon)
-    f_values = np.full(horizon, np.nan)
-    dir_err = np.full(horizon, np.nan)
-    step_sq = np.empty(horizon)
-    violations = {name: 0 for name in MONITORS}
-    violation_count = np.zeros(horizon, dtype=np.int64)
-    traces = []
+    hist = _Histories((), horizon, diagnostics, provider.kappa_b, params,
+                      slack)
     event_a = False
     g_prev = None
     x_prev = None
@@ -334,28 +366,21 @@ def run(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
 
         if k == 0:
             event_a = trace.norm_d**2 >= params.sigma
-        norm_d[k] = trace.norm_d
-        norm_xi[k] = trace.norm_xi
-        err_norm[k] = trace.err_norm
-        gamma_hist[k] = trace.gamma
-        step_sq[k] = float(trace.s @ trace.s)
+        hist.norm_d[k] = trace.norm_d
+        hist.norm_xi[k] = trace.norm_xi
+        hist.err_norm[k] = trace.err_norm
+        hist.gamma[k] = trace.gamma
+        hist.step_sq[k] = float(trace.s @ trace.s)
         if diagnostics:
-            f_values[k] = fval
-            trace.f_value = fval
-            dir_err[k] = abs(float((od.g_true - od.g) @ trace.s))
-        for name, ok in trace.monitors.items():
-            if not ok:
-                violations[name] += 1
-                violation_count[k] += 1
-        if keep_traces:
-            traces.append(trace)
+            hist.f_values[k] = fval
+            hist.dir_err[k] = abs(float((od.g_true - od.g) @ trace.s))
+        j = k % BLOCK
+        hist.inputs[j] = trace.inputs
+        hist.vector_ok[j] = trace.vector_ok
+        if j == BLOCK - 1 or k == horizon - 1:
+            hist.check(k - j, j + 1)
 
-    return RunResult(
-        horizon=horizon, event_a=bool(event_a), norm_d=norm_d, norm_xi=norm_xi,
-        err_norm=err_norm, gamma=gamma_hist, f_values=f_values,
-        dir_err=dir_err, step_sq=step_sq, violations=violations,
-        violation_count=violation_count, final_state=state, traces=traces,
-    )
+    return hist.result((), bool(event_a), state)
 
 
 def _non_finite(ok, what, values, k, replications):
@@ -402,16 +427,8 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
     sigma, tau, kappa_s = params.sigma, params.tau, params.kappa_s
     mode = params.step_mode
 
-    norm_d = np.empty((reps, horizon))
-    norm_xi = np.full((reps, horizon), np.nan)
-    err_norm = np.full((reps, horizon), np.nan)
-    gamma_hist = np.empty((reps, horizon))
-    f_values = np.full((reps, horizon), np.nan)
-    dir_err = np.full((reps, horizon), np.nan)
-    step_sq = np.empty((reps, horizon))
-    checked = MONITORS if diagnostics else MONITORS[:-1]
-    failed = np.zeros((len(checked), reps), dtype=np.int64)
-    violation_count = np.zeros((reps, horizon), dtype=np.int64)
+    hist = _Histories((reps,), horizon, diagnostics, provider.kappa_b,
+                      params, slack)
     event_a = None
     g_prev = x_prev = None
 
@@ -434,10 +451,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
         if not ok.all():
             _non_finite(ok, "gradient estimate", g, k, replications)
 
-        d = np.empty_like(x)
-        w_new = np.empty_like(x)
-        delta = np.empty_like(x)
-        s_l = np.empty_like(x)
+        d, w_new, delta, s_l = np.empty((4,) + x.shape)
         # The kernels broadcast the (n,) bounds over the rows.
         _kernels.first_order(x, g, lower, upper, w, d, w_new, delta, s_l)
 
@@ -445,7 +459,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
         g_sl = np.vecdot(g, s_l)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = -g_sl / qf_sl
-        # _cauchy_gamma row by row: min(1, ratio) when the curvature is
+        # step()'s gamma row by row: min(1, ratio) when the curvature is
         # positive, else 1.
         gamma = np.where((qf_sl > 0.0) & (ratio < 1.0), ratio, 1.0)
         s_q = gamma[:, None] * s_l
@@ -464,51 +478,36 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
             g_s = np.vecdot(g, s)
 
         x_raw = x + s
-        feas_tol = slack * (1.0 + np.abs(x))
-        monitors = [
-            ((x_raw >= lower - feas_tol) & (x_raw <= upper + feas_tol)).all(axis=1),
-            (np.abs(s) <= kappa_s * delta + feas_tol).all(axis=1),
-            *_decrease_monitors(
-                _tol_rows, slack, g_sl, g_s, g_sq + 0.5 * qf_sq, g_s + 0.5 * qf_s,
-                (d * d / w_new).sum(axis=1), qf_sl, np.vecdot(s_l, s_l),
-                np.vecdot(delta, delta), provider.kappa_b, params).values(),
-        ]
+        j = k % BLOCK
+        hist.vector_ok[j] = _vector_checks(x, x_raw, s, delta, box, kappa_s, slack)
+        rec = hist.inputs[j]
+        rec[0], rec[1], rec[2], rec[3], rec[4] = g_sl, g_s, g_sq, qf_sl, qf_s
+        (d * d / w_new).sum(axis=1, out=rec[5])
+        np.vecdot(s_l, s_l, out=rec[6])
+        np.vecdot(delta, delta, out=rec[7])
         nd = np.sqrt(np.vecdot(d, d))
         if diagnostics:
             xi = np.empty_like(x)
             _kernels.project_box(x - g_true, lower, upper, xi)
             xi -= x
-            nxi = np.sqrt(np.vecdot(xi, xi))
-            monitors.append(nxi <= nd + err + _tol_rows(slack, nxi, nd))
-            norm_xi[:, k] = nxi
-            err_norm[:, k] = err
-            f_values[:, k] = fval
-            dir_err[:, k] = np.abs(np.vecdot(g_true - g, s))
-        bad = ~np.array(monitors)
-        failed += bad
-        violation_count[:, k] = bad.sum(axis=0)
+            hist.norm_xi[:, k] = np.sqrt(np.vecdot(xi, xi))
+            hist.err_norm[:, k] = err
+            hist.f_values[:, k] = fval
+            hist.dir_err[:, k] = np.abs(np.vecdot(g_true - g, s))
 
         if k == 0:
             # As run() computes it: a Python float squared.
             event_a = [float(v) ** 2 >= sigma for v in nd]
-        norm_d[:, k] = nd
-        gamma_hist[:, k] = gamma
-        step_sq[:, k] = np.vecdot(s, s)
+        hist.norm_d[:, k] = nd
+        hist.gamma[:, k] = gamma
+        hist.step_sq[:, k] = np.vecdot(s, s)
+        if j == BLOCK - 1 or k == horizon - 1:
+            hist.check(k - j, j + 1)
 
         # Reprojection removes the last-ulp rounding of x + (P(..) - x).
         x = np.empty_like(x_raw)
         _kernels.project_box(x_raw, lower, upper, x)
         w = w_new
 
-    results = []
-    for r in range(reps):
-        violations = {name: 0 for name in MONITORS}
-        violations.update(zip(checked, failed[:, r].tolist()))
-        results.append(RunResult(
-            horizon=horizon, event_a=event_a[r], norm_d=norm_d[r],
-            norm_xi=norm_xi[r], err_norm=err_norm[r], gamma=gamma_hist[r],
-            f_values=f_values[r], dir_err=dir_err[r], step_sq=step_sq[r],
-            violations=violations, violation_count=violation_count[r],
-            final_state=SolverState(x=x[r], w=w[r], k=horizon),
-        ))
-    return results
+    return [hist.result((r,), event_a[r], SolverState(x=x[r], w=w[r], k=horizon))
+            for r in range(reps)]

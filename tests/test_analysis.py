@@ -186,7 +186,7 @@ def test_counterexample_validation():
 def test_true_criticality_matches_run_history():
     prob = make_test_problem("boxed_quadratic", 3, 0)
     res = run(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 5,
-              base_seed=0, keep_traces=True)
+              base_seed=0)
     x0 = prob.x_ini  # already feasible for this family
     assert true_criticality(prob.objective, x0, prob.box) == pytest.approx(
         res.norm_xi[0], rel=1e-12)

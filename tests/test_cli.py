@@ -112,6 +112,32 @@ def test_invalid_config_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("section, values", [
+    ("curvature", {"kind": "scalar_bb", "kappa_b": float("nan")}),
+    ("solver", {"kappa_s": float("nan")}),
+    ("oracle", {"kind": "gaussian", "sigma": float("nan")}),
+    ("oracle", {"kind": "bounded_uniform", "radius": float("nan")}),
+    ("oracle", {"kind": "affine_gaussian", "kappa1": float("nan"),
+                "kappa2": 0.1}),
+    ("oracle", {"kind": "affine_gaussian", "kappa1": 0.1,
+                "kappa2": float("nan")}),
+    ("oracle", {"kind": "relative_bias", "rho": float("nan"),
+                "inner": {"kind": "exact"}}),
+    ("oracle", {"kind": "constant_bias", "bias": [0.1, float("nan"), 0.0],
+                "inner": {"kind": "exact"}}),
+], ids=["kappa_b", "kappa_s", "sigma", "radius", "kappa1", "kappa2", "rho",
+        "bias"])
+def test_nan_config_value_is_usage_error(tmp_path, capsys, section, values):
+    # json writes NaN as a bare NaN token, which json.load reads back.
+    config = {**CONFIG, section: values}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(config))
+    code = cli_main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli_main(["frobnicate"]) == 2
 

@@ -144,3 +144,24 @@ def test_constant_bias_dimension_mismatch():
 
 def test_empirical_rmse_exact_is_zero():
     assert empirical_rmse(OBJ, np.full(6, 0.5), Exact(), 10, 0) == 0.0
+
+
+@pytest.mark.parametrize("model", [
+    Exact(), Gaussian(0.2), BoundedUniform(0.3), AffineGaussian(0.04, 0.5),
+    ConstantBias(np.full(4, 0.05), Gaussian(0.1)),
+    RelativeBias(0.1, BoundedUniform(0.2)), Subsample(5),
+], ids=lambda m: m.kind)
+def test_empirical_rmse_matches_per_draw_loop(model):
+    # The stacked draw against the loop it replaces: one draw() at a time
+    # from the same generator, the squared errors summed in order.
+    obj = make_test_problem("finite_sum_logistic", 4, 0).objective
+    x = np.array([0.3, -0.2, 0.1, 0.4])
+    draws, seed = 3000, 7
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x535E)))
+    acc = 0.0
+    for _ in range(draws):
+        od = draw(obj, x, model, rng)
+        e = od.g - od.g_true
+        acc += float(e @ e)
+    assert empirical_rmse(obj, x, model, draws, seed) == pytest.approx(
+        np.sqrt(acc / draws), rel=1e-13, abs=0.0)

@@ -149,27 +149,43 @@ def test_run_and_run_batch_reject_the_same_arguments(model, kind, params,
 
 
 class _Multiple(CurvatureProvider):
-    """B = factor * kappa_b * I."""
+    """B = factor * kappa_b * I on odd iterations, kappa_b * I on even ones.
+
+    quad_form is called once per iteration, so the calls count them.
+    """
 
     factor = 1.0
 
-    def matvec(self, x, v):
-        return self.factor * self.kappa_b * np.asarray(v, dtype=np.float64)
+    def __init__(self, kappa_b):
+        super().__init__(kappa_b)
+        self.calls = 0
+
+    def quad_form(self, x, v):
+        scale = self.factor if self.calls % 2 else 1.0
+        self.calls += 1
+        v = np.asarray(v, dtype=np.float64)
+        return np.vecdot(v, scale * self.kappa_b * v)
 
 
 @pytest.mark.parametrize("factor, fails", [(1.0, False), (1.5, True)])
 def test_curvature_bound_monitor(monkeypatch, factor, fails):
-    # kappa_b I sits on the bound and must pass; 1.5 kappa_b I must be
-    # flagged on every step, by run() and by run_batch() alike.
+    # kappa_b I sits on the bound and must pass; 1.5 kappa_b I on the odd
+    # iterations must be flagged on exactly those, by run() and by
+    # run_batch() alike, across block boundaries: the horizon spans more
+    # than two blocks and ends inside the last one.
     monkeypatch.setattr(_Multiple, "factor", factor)
     monkeypatch.setattr(solver, "make_provider",
                         lambda spec, obj: _Multiple(spec.kappa_b))
+    horizon = 2 * solver.BLOCK + 37
     prob = make_test_problem("boxed_quadratic", 3, 0)
     args = (prob, Gaussian(0.1), CurvatureSpec("scalar_bb", 3.0),
-            SolverParams(), 50, 0)
+            SolverParams(), horizon, 0)
     results = [run(*args)] + run_batch(*args, replications=[0, 1])
+    expected = np.arange(horizon) % 2 if fails else np.zeros(horizon)
     for res in results:
-        assert res.violations["curvature_bound"] == (50 if fails else 0)
+        assert res.violations["curvature_bound"] == expected.sum()
+        assert res.total_violations == expected.sum()
+        assert np.array_equal(res.violation_count, expected)
     assert results[0].violations == results[1].violations
 
 
@@ -225,12 +241,19 @@ def test_run_diagnostics_off_skips_true_gradient():
     assert np.isfinite(res.norm_d).all()
 
 
-def test_run_keep_traces():
-    prob = make_test_problem("boxed_quadratic", 2, 0)
-    res = run(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 10,
-              base_seed=0, keep_traces=True)
-    assert len(res.traces) == 10
-    assert set(res.traces[0].monitors) == set(MONITORS)
+def test_step_trace_holds_every_monitor():
+    box = BoundBox(np.zeros(2), np.ones(2))
+    params = SolverParams()
+    st = SolverState.initial(np.full(2, 0.5), box, params)
+    g = np.array([1.0, -1.0])
+    _, trace = step(st, _draw(g, g_true=g + 0.1), ZeroCurvature(1.0), box,
+                    params)
+    assert list(trace.monitors) == list(MONITORS)
+    assert all(trace.monitors.values()), trace.monitors
+    # Without the true gradient there is no criticality triangle to check.
+    _, trace = step(st, OracleDraw(g, None, np.nan), ZeroCurvature(1.0), box,
+                    params)
+    assert list(trace.monitors) == list(MONITORS[:-1])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -1,0 +1,59 @@
+"""The names the benchmark's tracer patches must exist in the package.
+
+``perfbench/tracing.py`` replaces module attributes of ``adagb2`` by name,
+outside the benchmark's crash guard, so a renamed attribute would break
+every traced benchmark run.  The tracer module is loaded from its file and
+used as it is.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from adagb2 import _kernels, harness, oracle, solver
+from adagb2.curvature import CurvatureSpec
+from adagb2.oracle import Gaussian
+from adagb2.problem import make_test_problem
+from adagb2.solver import SolverParams
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no .pyc
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _patched_attributes():
+    names = {
+        solver: ("draw", "step", "run", "project_box", "make_provider"),
+        _kernels: ("first_order",),
+        oracle.OracleStream: ("rng_shared",),
+        harness: ("run", "make_test_problem", "aggregate_results",
+                  "run_experiment", "write_aggregate_csv", "write_traces_csv",
+                  "write_summary_json"),
+    }
+    return {(owner, attr): getattr(owner, attr)
+            for owner, attrs in names.items() for attr in attrs}
+
+
+def test_tracer_patches_the_solver_and_restores_it(monkeypatch):
+    before = _patched_attributes()
+    tracer = _load_tracing(monkeypatch).Tracer().install()
+    try:
+        assert _patched_attributes() != before
+        args = (make_test_problem("boxed_quadratic", 3, 0), Gaussian(0.1),
+                CurvatureSpec("scalar_bb", 4.0), SolverParams(), 20, 0)
+        solver.run(*args)
+        solver.run_batch(*args, replications=2)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("solver.run") == 1
+    assert tracer.calls("solver.step") == 20
+    # 20 from run(), through step(), and 20 from the batched loop.
+    assert tracer.calls("kernels.first_order") == 40
+    after = _patched_attributes()
+    assert all(after[key] is before[key] for key in before)
