@@ -27,7 +27,7 @@ from .oracle import (AffineGaussian, BoundedUniform, ConstantBias, Exact,
 from .problem import (Objective, PROBLEM_NAMES, TestProblem,
                       check_smoothness, make_test_problem, quadratic_problem)
 from .solver import (MONITORS, STEP_MODES, RunResult, SolverParams,
-                     SolverState, run, run_batch, step)
+                     SolverState, run, run_batch)
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,6 @@ __all__ = [
     "lambert_w_minus1", "lemma_lambert_check", "lemma_magical_check",
     "make_provider", "make_test_problem", "markov_complexity_report",
     "project_box", "project_box_cap_trust", "quadratic_problem", "run",
-    "run_batch", "run_experiment", "scenario_classifier", "step", "true_criticality",
+    "run_batch", "run_experiment", "scenario_classifier", "true_criticality",
     "verify_deterministic_bound", "write_experiment_outputs",
 ]

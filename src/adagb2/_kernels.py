@@ -1,8 +1,8 @@
 """The per-iteration kernels: numpy, writing into preallocated outputs.
 
 Every function is componentwise, so the arguments may be (n,) vectors or
-(R, n) stacks of rows (the batched engine passes the latter, with the
-bounds as (n,) vectors broadcast over the rows).
+any stacks (..., n) of rows, with the bounds as (n,) vectors broadcast
+over the rows (the engine passes (R, n) states).
 """
 
 import numpy as np

@@ -7,9 +7,9 @@ certified bound on its norm.  The solver only needs the quadratic form and
 the operator action; providers with memory (Barzilai-Borwein) are updated
 through ``observe`` and must not be shared across replications.
 
-Every provider also takes a batch: points and vectors as (R, n) arrays,
-one replication per row, with one quadratic form per row (Barzilai-Borwein
-keeps one scalar per row), each bit-identical to a lone call on its row.
+Every provider takes points and vectors as (R, n) arrays, one
+replication per row, with one quadratic form per row (Barzilai-Borwein
+keeps one scalar per row), each bit-identical to a one-row call on its row.
 """
 
 from dataclasses import dataclass
@@ -45,11 +45,9 @@ class CurvatureProvider:
     def matvec(self, x, v) -> np.ndarray:
         return np.zeros_like(np.asarray(v, dtype=np.float64))
 
-    def quad_form(self, x, v):
-        """v^T B v: a float, or an (R,) array for a batch."""
+    def quad_form(self, x, v) -> np.ndarray:
+        """v^T B v of each row of v (R, n)."""
         v = np.asarray(v, dtype=np.float64)
-        if v.ndim == 1:
-            return float(v @ self.matvec(x, v))
         return np.vecdot(v, self.matvec(x, v))
 
     def observe(self, x_prev, x_new, g_prev, g_new) -> None:
@@ -58,15 +56,15 @@ class CurvatureProvider:
 
 class ZeroCurvature(CurvatureProvider):
     def quad_form(self, x, v):
-        return 0.0 if np.ndim(v) == 1 else np.zeros(len(v))
+        return np.zeros(len(v))
 
 
 class ScalarBB(CurvatureProvider):
     """Barzilai-Borwein scalar s^T y / s^T s clipped into [0, kappa_b].
 
     Negative curvature maps to the zero operator for that step; before the
-    first observed pair the operator is zero as well.  A batch keeps one
-    scalar per row.
+    first observed pair the operator is zero as well.  Each row keeps its
+    own scalar.
     """
 
     def __init__(self, kappa_b: float):
@@ -74,23 +72,14 @@ class ScalarBB(CurvatureProvider):
         self.sigma = 0.0
 
     def matvec(self, x, v):
-        sigma = self.sigma
-        if isinstance(sigma, np.ndarray):  # one per row (np.ndim is slow on floats)
-            sigma = sigma[:, None]
-        return sigma * np.asarray(v, dtype=np.float64)
+        # sigma is 0.0 before the first observed pair, then one per row.
+        return np.asarray(self.sigma)[..., None] * np.asarray(v, dtype=np.float64)
 
     def observe(self, x_prev, x_new, g_prev, g_new):
         s = np.asarray(x_new, dtype=np.float64) - np.asarray(x_prev, dtype=np.float64)
         y = np.asarray(g_new) - np.asarray(g_prev)
-        if s.ndim == 1:
-            ss = float(s @ s)
-            if ss == 0.0:
-                return
-            raw = float(s @ y) / ss
-            self.sigma = min(max(raw, 0.0), self.kappa_b)
-            return
-        # The same per row: np.where with Python's min/max tie and NaN
-        # rules, and a zero step keeps the row's previous scalar.
+        # Per row, clipped with Python's min/max tie and NaN rules; a zero
+        # step keeps the row's previous scalar.
         ss = np.vecdot(s, s)
         with np.errstate(divide="ignore", invalid="ignore"):
             raw = np.vecdot(s, y) / ss
@@ -120,12 +109,8 @@ class ExactClipped(CurvatureProvider):
         x = np.asarray(x, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         kb = self.kappa_b
-        bound = self._hess_bound(x)
-        if isinstance(bound, np.ndarray):  # one per row
-            scale = (kb / np.maximum(kb, bound))[..., None]
-        else:
-            scale = kb / max(kb, bound)
-        return scale * self._hess_vec(x, v)
+        scale = kb / np.maximum(kb, self._hess_bound(x))  # one per row
+        return scale[..., None] * self._hess_vec(x, v)
 
 
 class DiagonalFD(CurvatureProvider):

@@ -66,10 +66,13 @@ class BoundBox:
 
 
 def project_box(y, box: BoundBox) -> np.ndarray:
-    """Project ``y`` onto the box: z_i = max(l_i, min(y_i, u_i))."""
-    y = _as_vector(y, "y")
-    if y.shape[0] != box.n:
-        raise ValueError(f"dimension mismatch: y has {y.shape[0]}, box has {box.n}")
+    """Project ``y`` onto the box: z_i = max(l_i, min(y_i, u_i)).
+
+    ``y`` is one point (n,) or any stack (..., n) of points.
+    """
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if y.shape[-1] != box.n:
+        raise ValueError(f"dimension mismatch: y has {y.shape[-1]}, box has {box.n}")
     out = np.empty_like(y)
     _kernels.project_box(y, box.lower, box.upper, out)
     return out
@@ -80,19 +83,22 @@ def project_box_cap_trust(y, box: BoundBox, center, radii) -> np.ndarray:
 
     The trust box is ``{x : |x_i - center_i| <= radii_i}``; the result is
     z_i = max(l_i, center_i - radii_i, min(y_i, center_i + radii_i, u_i)).
+    Each argument is one vector (n,) or a stack (..., n) that broadcasts
+    against ``y``.
     """
-    y = _as_vector(y, "y")
-    center = _as_vector(center, "center")
-    radii = _as_vector(radii, "radii")
-    if not (y.shape[0] == box.n == center.shape[0] == radii.shape[0]):
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    center = np.ascontiguousarray(center, dtype=np.float64)
+    radii = np.ascontiguousarray(radii, dtype=np.float64)
+    if not (y.shape[-1] == box.n == center.shape[-1] == radii.shape[-1]):
         raise ValueError(
             "dimension mismatch: "
-            f"y={y.shape[0]}, box={box.n}, center={center.shape[0]}, "
-            f"radii={radii.shape[0]}"
+            f"y={y.shape[-1]}, box={box.n}, center={center.shape[-1]}, "
+            f"radii={radii.shape[-1]}"
         )
     if (radii < 0).any():
-        bad = int(np.argmax(radii < 0))
-        raise ValueError(f"negative trust radius: radii[{bad}]={radii[bad]}")
+        bad = np.unravel_index(np.argmax(radii < 0), radii.shape)
+        where = ", ".join(str(int(i)) for i in bad)
+        raise ValueError(f"negative trust radius: radii[{where}]={radii[bad]}")
     out = np.empty_like(y)
     _kernels.project_box_cap_trust(y, box.lower, box.upper, center, radii, out)
     return out

@@ -359,8 +359,8 @@ def _blocks(count: int, parts: int) -> list:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute all replications and aggregate deterministically.
 
-    The replications advance together in ``run_batch`` (one alone runs
-    through ``run``).  With ``workers > 1`` each worker process takes one
+    The replications advance together in ``run_batch``, as the rows of
+    one state.  With ``workers > 1`` each worker process takes one
     contiguous block of replications; the blocks are merged in replication
     order, so the results do not depend on the worker count.
     """

@@ -107,9 +107,10 @@ NoiseModel = (
 
 @dataclass(frozen=True)
 class OracleDraw:
-    g: np.ndarray
-    g_true: Optional[np.ndarray]
-    err_norm: float
+    """Gradient estimates at R points, one per row, and the true gradients."""
+
+    g: np.ndarray  # (R, n)
+    g_true: Optional[np.ndarray]  # (R, n), or None without with_true
 
 
 class OracleStream:
@@ -219,10 +220,13 @@ def validate_model(model, obj: Objective) -> None:
         validate_model(model.inner, obj)
 
 
-def draw(obj: Objective, x, model, rng: np.random.Generator,
-         with_true: bool = True, validate: bool = True) -> OracleDraw:
-    """Draw one gradient estimate g(x, xi) according to the noise model.
+def draw(obj: Objective, x, model, rngs, with_true: bool = True,
+         validate: bool = True) -> OracleDraw:
+    """One gradient estimate g(x, xi) per row of ``x`` (R, n).
 
+    Row r draws from ``rngs[r]``, as a lone point would, so a row's
+    estimate does not depend on the other rows; a single point is passed
+    as one row.  The objective's ``grad`` is called once on all rows.
     ``with_true=False`` skips the true-gradient diagnostic when the model
     itself does not need G (only possible for pure subsampling).
     ``validate=False`` skips ``validate_model``, for callers that checked
@@ -233,30 +237,8 @@ def draw(obj: Objective, x, model, rng: np.random.Generator,
         validate_model(model, obj)
     need_true = with_true or _needs_true_gradient(model)
     g_true = obj.grad(x) if need_true else None
-    g = _sample(obj, x[None], model, (rng,),
-                None if g_true is None else g_true[None])[0]
-    if with_true:
-        e = g - g_true
-        err = math.sqrt(float(e @ e))
-        return OracleDraw(g, g_true, err)
-    return OracleDraw(g, None, math.nan)
-
-
-def draw_rows(obj: Objective, x, model, rngs, with_true: bool = True):
-    """One gradient estimate per row of ``x`` (R, n), row r drawn from rngs[r].
-
-    Returns ``(g, g_true, err_norm)`` as (R, n), (R, n) and (R,) arrays;
-    without ``with_true`` the last two are None.  Row r equals what
-    ``draw`` returns at ``x[r]`` with ``rngs[r]``.  The objective's
-    ``grad`` is called once on the whole batch; the model is not validated.
-    """
-    need_true = with_true or _needs_true_gradient(model)
-    g_true = obj.grad(x) if need_true else None
     g = _sample(obj, x, model, rngs, g_true)
-    if not with_true:
-        return g, None, None
-    e = g - g_true
-    return g, g_true, np.sqrt(np.vecdot(e, e))
+    return OracleDraw(g, g_true if with_true else None)
 
 
 def empirical_rmse(obj: Objective, x, model, draws: int, seed: int) -> float:

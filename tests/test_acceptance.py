@@ -16,12 +16,13 @@ from adagb2.analysis import (chatzigeorgiou_bound, compute_constants,
                              counterexample_simulate, lambert_w_minus1,
                              lemma_magical_check)
 from adagb2.cli import cli_main
-from adagb2.curvature import CurvatureSpec, ZeroCurvature
+from adagb2.curvature import CurvatureSpec
 from adagb2.geometry import BoundBox
 from adagb2.harness import aggregate_results, fit_rate, verify_deterministic_bound
-from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleDraw
-from adagb2.problem import make_test_problem
-from adagb2.solver import SolverParams, SolverState, run, run_batch, step
+from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleStream
+from adagb2.problem import Objective, make_test_problem
+from adagb2.problem import TestProblem as BoxProblem  # avoid pytest collection
+from adagb2.solver import SolverParams, run, run_batch
 
 
 def _report(num, ok, detail):
@@ -93,24 +94,38 @@ def test_acceptance_2_monitor_sweep():
 
 
 def test_acceptance_3_adagrad_equivalence():
-    n = 5
-    box = BoundBox.unbounded(n)
+    # A zero objective under unit Gaussian noise makes g_k the standard
+    # normal vector of the replication's stream at iteration k; its gradient
+    # is asked for once per iteration, at the iterate, which it records.
+    n, horizon, seed = 5, 1000, 42
+    iterates = []
+
+    def grad(x):
+        iterates.append(x[0].copy())
+        return np.zeros_like(x)
+
+    obj = Objective(f=lambda x: np.zeros(np.shape(x)[:-1]), grad=grad,
+                    f_low=0.0)
+    rng = np.random.default_rng(seed)
+    prob = BoxProblem("zero", obj, BoundBox.unbounded(n),
+                      rng.standard_normal(n))
     params = SolverParams(sigma=0.1, step_mode="sign_adagrad")
-    provider = ZeroCurvature(1.0)
-    rng = np.random.default_rng(42)
-    st = SolverState.initial(rng.standard_normal(n), box, params)
-    x_ref = st.x.copy()
+    res = run(prob, Gaussian(1.0), CurvatureSpec("zero"), params, horizon,
+              base_seed=seed, diagnostics=False)
+    iterates.append(res.final_state.x)
+    assert len(iterates) == horizon + 1  # x_0 to x_horizon
+    stream = OracleStream(seed, 0)
+    x_ref = prob.x_ini.copy()
     gsum = np.full(n, params.sigma**2)
     worst = 0.0
-    for _ in range(1000):
-        g = rng.standard_normal(n)
-        st, _ = step(st, OracleDraw(g, g, 0.0), provider, box, params)
+    for k in range(horizon):
+        g = stream.rng(k).standard_normal(n)
         gsum += g * g
         x_ref = x_ref - g / np.sqrt(gsum)
         # relative tolerance 1e-12 with a tiny absolute floor for
         # coordinates passing through zero
         scale = 1e-12 * np.abs(x_ref) + 1e-14
-        worst = max(worst, float(np.max(np.abs(st.x - x_ref) / scale)))
+        worst = max(worst, float(np.max(np.abs(iterates[k + 1] - x_ref) / scale)))
     _report(3, worst <= 1.0,
             f"sign mode == plain Adagrad over 1e3 iterations to relative "
             f"tolerance 1e-12 (worst scaled deviation {worst:.2e})")

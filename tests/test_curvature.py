@@ -23,55 +23,56 @@ def test_spec_validation():
 def test_zero_provider():
     p = make_provider(CurvatureSpec("zero", 2.0), QUAD.objective)
     assert isinstance(p, ZeroCurvature)
-    v = np.ones(5)
-    assert p.quad_form(np.zeros(5), v) == 0.0
-    assert np.array_equal(p.matvec(np.zeros(5), v), np.zeros(5))
+    v = np.ones((1, 5))
+    assert np.array_equal(p.quad_form(np.zeros((1, 5)), v), [0.0])
+    assert np.array_equal(p.matvec(np.zeros((1, 5)), v), np.zeros((1, 5)))
 
 
 def test_scalar_bb_hand_value():
     p = ScalarBB(kappa_b=10.0)
     assert p.sigma == 0.0  # zero operator before any observation
-    s = np.array([1.0, 0.0])
-    y = np.array([3.0, 1.0])  # s^T y / s^T s = 3
-    p.observe(np.zeros(2), s, np.zeros(2), y)
-    assert p.sigma == 3.0
-    assert p.quad_form(None, np.array([2.0, 0.0])) == pytest.approx(12.0)
+    s = np.array([[1.0, 0.0]])
+    y = np.array([[3.0, 1.0]])  # s^T y / s^T s = 3
+    p.observe(np.zeros((1, 2)), s, np.zeros((1, 2)), y)
+    assert np.array_equal(p.sigma, [3.0])
+    assert np.array_equal(p.quad_form(None, np.array([[2.0, 0.0]])), [12.0])
 
 
 def test_scalar_bb_clipping():
     p = ScalarBB(kappa_b=2.0)
-    p.observe(np.zeros(1), np.ones(1), np.zeros(1), np.array([100.0]))
-    assert p.sigma == 2.0  # clipped at kappa_b
-    p.observe(np.zeros(1), np.ones(1), np.zeros(1), np.array([-5.0]))
-    assert p.sigma == 0.0  # negative curvature maps to zero
-    sigma_before = p.sigma
-    p.observe(np.ones(1), np.ones(1), np.zeros(1), np.ones(1))  # zero step
-    assert p.sigma == sigma_before
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    p.observe(zero, one, zero, np.array([[100.0]]))
+    assert np.array_equal(p.sigma, [2.0])  # clipped at kappa_b
+    p.observe(zero, one, zero, np.array([[-5.0]]))
+    assert np.array_equal(p.sigma, [0.0])  # negative curvature maps to zero
+    p.observe(zero, one, zero, np.array([[1.5]]))
+    p.observe(one, one, zero, one)  # zero step
+    assert np.array_equal(p.sigma, [1.5])  # keeps the previous scalar
 
 
 def test_exact_clipped_small_hessian_untouched():
     # Hessian diag(1..4) has norm 4 <= kappa_b: no scaling.
     p = ExactClipped(5.0, QUAD.objective)
-    x = np.full(5, 0.5)
-    v = np.array([1.0, 2.0, -1.0, 0.5, 0.0])
+    x = np.full((1, 5), 0.5)
+    v = np.array([[1.0, 2.0, -1.0, 0.5, 0.0]])
     a = np.linspace(1.0, 4.0, 5)
     assert np.allclose(p.matvec(x, v), a * v, rtol=1e-12)
 
 
 def test_exact_clipped_scales_large_hessian():
     p = ExactClipped(1.0, QUAD.objective)
-    x = np.full(5, 0.5)
+    x = np.full((1, 5), 0.5)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        v = rng.standard_normal(5)
+        v = rng.standard_normal((1, 5))
         hv = p.matvec(x, v)
         # scaled operator norm must respect kappa_b (the quadratic's bound
         # max(a) is its Hessian norm)
         assert np.linalg.norm(hv) <= 1.0 * np.linalg.norm(v) * (1 + 1e-9)
     # the scale should be ~ 1/4 since ||H|| = 4
-    e_last = np.zeros(5)
-    e_last[-1] = 1.0
-    assert p.matvec(x, e_last)[-1] == pytest.approx(1.0, rel=1e-6)
+    e_last = np.zeros((1, 5))
+    e_last[0, -1] = 1.0
+    assert p.matvec(x, e_last)[0, -1] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_exact_clipped_is_stateless():
@@ -80,13 +81,14 @@ def test_exact_clipped_is_stateless():
     prob = make_test_problem("boxed_rosenbrock", 6, 0)
     p = ExactClipped(16.0, prob.objective)
     rng = np.random.default_rng(3)
-    x = rng.uniform(-2.0, 2.0, 6)
-    v = rng.standard_normal(6)
+    x = rng.uniform(-2.0, 2.0, (1, 6))
+    v = rng.standard_normal((1, 6))
     first = p.quad_form(x, v)
     for _ in range(3):
-        p.quad_form(rng.uniform(-2.0, 2.0, 6), rng.standard_normal(6))
-    assert p.quad_form(x, v) == first
-    assert ExactClipped(16.0, prob.objective).quad_form(x, v) == first
+        p.quad_form(rng.uniform(-2.0, 2.0, (1, 6)), rng.standard_normal((1, 6)))
+    assert p.quad_form(x, v).tobytes() == first.tobytes()
+    fresh = ExactClipped(16.0, prob.objective)
+    assert fresh.quad_form(x, v).tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
@@ -96,10 +98,10 @@ def test_exact_clipped_batch_matches_rows(name):
     rng = np.random.default_rng(4)
     x = rng.uniform(prob.box.lower, prob.box.upper, (4, 5))
     v = rng.standard_normal((4, 5))
-    rows = [p.quad_form(xr, vr) for xr, vr in zip(x, v)]
-    assert p.quad_form(x, v).tobytes() == np.array(rows).tobytes()
-    rows = np.array([p.matvec(xr, vr) for xr, vr in zip(x, v)])
-    assert p.matvec(x, v).tobytes() == rows.tobytes()
+    rows = [p.quad_form(xr[None], vr[None]) for xr, vr in zip(x, v)]
+    assert p.quad_form(x, v).tobytes() == np.concatenate(rows).tobytes()
+    rows = [p.matvec(xr[None], vr[None]) for xr, vr in zip(x, v)]
+    assert p.matvec(x, v).tobytes() == np.concatenate(rows).tobytes()
 
 
 @pytest.mark.parametrize("name, dim, kappa_b", [
@@ -120,8 +122,8 @@ def test_exact_clipped_norm_stays_below_kappa_b_along_runs(monkeypatch, name,
         quad_form = provider.quad_form
 
         def quad_form_recorded(x, v):
-            b = np.column_stack([copy.deepcopy(provider).matvec(x, e)
-                                 for e in np.eye(len(x))])
+            b = np.column_stack([copy.deepcopy(provider).matvec(x, e[None])[0]
+                                 for e in np.eye(x.shape[-1])])
             ratios.append(np.linalg.norm(b, ord=2) / spec.kappa_b)
             return quad_form(x, v)
 
@@ -155,8 +157,8 @@ def test_exact_clipped_requires_hessian_bound():
 
 def test_diagonal_fd_on_quadratic():
     p = DiagonalFD(10.0, QUAD.objective)
-    x = np.full(5, 0.5)
-    v = np.ones(5)
+    x = np.full((1, 5), 0.5)
+    v = np.ones((1, 5))
     a = np.linspace(1.0, 4.0, 5)
     assert np.allclose(p.matvec(x, v), a, rtol=1e-6)
 
@@ -188,8 +190,8 @@ def test_diagonal_fd_stack_matches_per_coordinate_loop(name, shape):
 
 def test_diagonal_fd_clips():
     p = DiagonalFD(2.0, QUAD.objective)
-    x = np.full(5, 0.5)
-    d = p.matvec(x, np.ones(5))
+    x = np.full((1, 5), 0.5)
+    d = p.matvec(x, np.ones((1, 5)))
     assert (np.abs(d) <= 2.0 + 1e-12).all()
 
 
@@ -205,11 +207,12 @@ def test_make_provider_dispatch():
 
 def test_quad_form_consistent_with_matvec():
     rng = np.random.default_rng(1)
-    x = np.full(5, 0.5)
+    x = np.full((1, 5), 0.5)
+    zero, one = np.zeros((1, 5)), np.ones((1, 5))
     for spec in ("scalar_bb", "exact_clipped", "diagonal_fd"):
         p = make_provider(CurvatureSpec(spec, 4.0), QUAD.objective)
-        p.observe(np.zeros(5), np.ones(5), np.zeros(5),
-                  QUAD.objective.grad(np.ones(5)) - QUAD.objective.grad(np.zeros(5)))
-        v = rng.standard_normal(5)
-        assert p.quad_form(x, v) == pytest.approx(float(v @ p.matvec(x, v)),
-                                                  rel=1e-9, abs=1e-12)
+        p.observe(zero, one, zero,
+                  QUAD.objective.grad(one) - QUAD.objective.grad(zero))
+        v = rng.standard_normal((1, 5))
+        assert p.quad_form(x, v)[0] == pytest.approx(
+            float(v[0] @ p.matvec(x, v)[0]), rel=1e-9, abs=1e-12)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,44 @@ def test_cap_trust_errors():
         project_box_cap_trust(np.zeros(2), box, np.zeros(2), -np.ones(2))
     with pytest.raises(ValueError):
         project_box_cap_trust(np.zeros(3), box, np.zeros(2), np.ones(2))
+
+
+def test_projections_of_a_stack_match_row_by_row_calls():
+    # A stack (m, R, n) gives, bit for bit, what a call on each row gives.
+    rng = np.random.default_rng(5)
+    box = BoundBox(np.array([-1.0, -np.inf, 0.0, -2.0]),
+                   np.array([1.0, 0.5, np.inf, -2.0]))
+    y = rng.uniform(-3, 3, (3, 5, 4))
+    center = rng.uniform(-2, 2, (3, 5, 4))
+    radii = rng.uniform(0, 2, (3, 5, 4))
+    rows = np.ndindex(3, 5)
+    want = np.array([project_box(y[i], box) for i in rows]).reshape(y.shape)
+    got = project_box(y, box)
+    assert got.shape == y.shape and got.tobytes() == want.tobytes()
+    want = np.array([project_box_cap_trust(y[i], box, center[i], radii[i])
+                     for i in np.ndindex(3, 5)]).reshape(y.shape)
+    got = project_box_cap_trust(y, box, center, radii)
+    assert got.shape == y.shape and got.tobytes() == want.tobytes()
+    # (n,) trust boxes broadcast over the stack.
+    got = project_box_cap_trust(y, box, center[0, 0], radii[0, 0])
+    want = [project_box_cap_trust(y[i], box, center[0, 0], radii[0, 0])
+            for i in np.ndindex(3, 5)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_projection_shape_errors():
+    box = BoundBox(np.zeros(2), np.ones(2))
+    for y in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 4, 3))):
+        with pytest.raises(ValueError,
+                           match="^dimension mismatch: y has 3, box has 2$"):
+            project_box(y, box)
+        with pytest.raises(ValueError, match=re.escape(
+                "dimension mismatch: y=3, box=2, center=2, radii=2")):
+            project_box_cap_trust(y, box, np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError,
+                       match="^dimension mismatch: y has 1, box has 2$"):
+        project_box(1.0, box)  # a scalar is one coordinate
+    with pytest.raises(ValueError, match=re.escape(
+            "negative trust radius: radii[1]=-1.0")):
+        project_box_cap_trust(np.zeros(2), box, np.zeros(2),
+                              np.array([0.0, -1.0]))

@@ -11,6 +11,13 @@ PROB = make_test_problem("boxed_quadratic", 6, 0)
 OBJ = PROB.objective
 
 
+def _one(obj, x, model, rng):
+    """g, G and ||g - G|| of a draw at the single point x, passed as one row."""
+    od = draw(obj, x[None], model, [rng])
+    g, g_true = od.g[0], od.g_true[0]
+    return g, g_true, np.linalg.norm(g - g_true)
+
+
 def test_stream_replay_bit_identical():
     stream = OracleStream(42, 3)
     a = stream.rng(17).standard_normal(8)
@@ -48,9 +55,9 @@ def test_streams_differ_across_replications_and_iterations():
 
 def test_exact_draw():
     x = np.full(6, 0.5)
-    od = draw(OBJ, x, Exact(), OracleStream(0, 0).rng(0))
-    assert np.array_equal(od.g, OBJ.grad(x))
-    assert od.err_norm == 0.0
+    g, _, err = _one(OBJ, x, Exact(), OracleStream(0, 0).rng(0))
+    assert np.array_equal(g, OBJ.grad(x))
+    assert err == 0.0
 
 
 def test_gaussian_moments():
@@ -58,7 +65,7 @@ def test_gaussian_moments():
     g_true = OBJ.grad(x)
     sigma = 0.3
     draws = np.array([
-        draw(OBJ, x, Gaussian(sigma), OracleStream(0, r).rng(0)).g
+        _one(OBJ, x, Gaussian(sigma), OracleStream(0, r).rng(0))[0]
         for r in range(4000)
     ])
     err = draws - g_true
@@ -70,8 +77,7 @@ def test_bounded_uniform_stays_in_ball():
     x = np.full(6, 0.5)
     model = BoundedUniform(0.2)
     for r in range(200):
-        od = draw(OBJ, x, model, OracleStream(3, r).rng(0))
-        assert od.err_norm <= 0.2 + 1e-14
+        assert _one(OBJ, x, model, OracleStream(3, r).rng(0))[2] <= 0.2 + 1e-14
 
 
 def test_affine_gaussian_rmse_matches_theory():
@@ -86,23 +92,25 @@ def test_affine_gaussian_rmse_matches_theory():
 def test_constant_bias_shifts_mean():
     x = np.full(6, 0.5)
     bias = np.full(6, 0.05)
-    od = draw(OBJ, x, ConstantBias(bias, Exact()), OracleStream(0, 0).rng(0))
-    assert np.allclose(od.g - od.g_true, bias)
-    assert od.err_norm == pytest.approx(np.linalg.norm(bias))
+    g, g_true, err = _one(OBJ, x, ConstantBias(bias, Exact()),
+                          OracleStream(0, 0).rng(0))
+    assert np.allclose(g - g_true, bias)
+    assert err == pytest.approx(np.linalg.norm(bias))
 
 
 def test_relative_bias():
     x = np.full(6, 0.5)
-    od = draw(OBJ, x, RelativeBias(0.1, Exact()), OracleStream(0, 0).rng(0))
-    assert np.allclose(od.g, 1.1 * od.g_true)
+    g, g_true, _ = _one(OBJ, x, RelativeBias(0.1, Exact()),
+                        OracleStream(0, 0).rng(0))
+    assert np.allclose(g, 1.1 * g_true)
 
 
 def test_subsample_full_batch_is_exact():
     prob = make_test_problem("finite_sum_logistic", 4, 0)
     model = Subsample(prob.objective.num_terms)
     x = np.full(4, 0.2)
-    od = draw(prob.objective, x, model, OracleStream(0, 0).rng(0))
-    assert np.allclose(od.g, prob.objective.grad(x), rtol=1e-12)
+    g, _, _ = _one(prob.objective, x, model, OracleStream(0, 0).rng(0))
+    assert np.allclose(g, prob.objective.grad(x), rtol=1e-12)
 
 
 def test_subsample_mean_is_unbiased():
@@ -111,7 +119,7 @@ def test_subsample_mean_is_unbiased():
     x = np.full(3, -0.4)
     g_true = prob.objective.grad(x)
     draws = np.array([
-        draw(prob.objective, x, model, OracleStream(0, r).rng(0)).g
+        _one(prob.objective, x, model, OracleStream(0, r).rng(0))[0]
         for r in range(3000)
     ])
     assert np.allclose(draws.mean(axis=0), g_true, atol=0.02)
@@ -139,7 +147,7 @@ def test_model_validation():
 def test_constant_bias_dimension_mismatch():
     model = ConstantBias(np.ones(3), Exact())
     with pytest.raises(ValueError):
-        draw(OBJ, np.full(6, 0.5), model, OracleStream(0, 0).rng(0))
+        _one(OBJ, np.full(6, 0.5), model, OracleStream(0, 0).rng(0))
 
 
 def test_empirical_rmse_exact_is_zero():
@@ -152,16 +160,39 @@ def test_empirical_rmse_exact_is_zero():
     RelativeBias(0.1, BoundedUniform(0.2)), Subsample(5),
 ], ids=lambda m: m.kind)
 def test_empirical_rmse_matches_per_draw_loop(model):
-    # The stacked draw against the loop it replaces: one draw() at a time
-    # from the same generator, the squared errors summed in order.
+    # The stacked draw against the loop it replaces: one single-point
+    # draw() at a time from the same generator, the squared errors summed
+    # in order.
     obj = make_test_problem("finite_sum_logistic", 4, 0).objective
     x = np.array([0.3, -0.2, 0.1, 0.4])
     draws, seed = 3000, 7
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x535E)))
     acc = 0.0
     for _ in range(draws):
-        od = draw(obj, x, model, rng)
-        e = od.g - od.g_true
+        g, g_true, _ = _one(obj, x, model, rng)
+        e = g - g_true
         acc += float(e @ e)
     assert empirical_rmse(obj, x, model, draws, seed) == pytest.approx(
         np.sqrt(acc / draws), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("model", [
+    Exact(), Gaussian(0.2), BoundedUniform(0.3), AffineGaussian(0.04, 0.5),
+    ConstantBias(np.full(4, 0.05), Gaussian(0.1)),
+    RelativeBias(0.1, BoundedUniform(0.2)), Subsample(5),
+], ids=lambda m: m.kind)
+def test_draw_rows_match_single_points(model):
+    # Row r of a draw at (R, n) is, bit for bit, the single-point draw at
+    # x[r] from the same generator; without with_true the estimates stay the
+    # same and the true gradient is left out.
+    obj = make_test_problem("finite_sum_logistic", 4, 0).objective
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 4))
+    rngs = lambda: [OracleStream(11, r).rng(5) for r in range(3)]  # noqa: E731
+    od = draw(obj, x, model, rngs())
+    for r, rng in enumerate(rngs()):
+        g, g_true, _ = _one(obj, x[r], model, rng)
+        assert od.g[r].tobytes() == g.tobytes()
+        assert od.g_true[r].tobytes() == g_true.tobytes()
+    bare = draw(obj, x, model, rngs(), with_true=False)
+    assert bare.g.tobytes() == od.g.tobytes()
+    assert bare.g_true is None

@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 
 from adagb2 import solver
-from adagb2.curvature import (CurvatureProvider, CurvatureSpec, ZeroCurvature,
-                              make_provider)
+from adagb2.curvature import CurvatureProvider, CurvatureSpec
 from adagb2.errors import ConfigurationError, NumericalError
 from adagb2.geometry import BoundBox
-from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleDraw, Subsample
+from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleStream, Subsample
 from adagb2.problem import Objective, make_test_problem
 from adagb2.problem import TestProblem as BoxProblem  # avoid pytest collection
-from adagb2.solver import (MONITORS, SolverParams, SolverState,
-                           first_order_quantities, run, run_batch, step)
+from adagb2.solver import MONITORS, SolverParams, SolverState, run, run_batch
 
 
-def _draw(g, g_true=None):
+def _constant_gradient(g, box, x_ini):
+    """A problem whose gradient is the vector g at every point."""
     g = np.asarray(g, dtype=np.float64)
-    gt = g if g_true is None else np.asarray(g_true, dtype=np.float64)
-    return OracleDraw(g, gt, float(np.linalg.norm(g - gt)))
+    obj = Objective(f=lambda x: np.vecdot(x, g),
+                    grad=lambda x: np.zeros_like(x) + g, f_low=-np.inf)
+    return BoxProblem("constant_gradient", obj, box, x_ini)
 
 
 def test_params_validation():
@@ -41,25 +41,32 @@ def test_initial_state_projects_and_seeds_weights():
 
 def test_weight_recurrence_hand_check():
     # One unconstrained coordinate: d = -g, w_k = sqrt(w_{k-1}^2 + g^2).
-    box = BoundBox.unbounded(1)
-    params = SolverParams(sigma=0.5)
-    st = SolverState.initial(np.zeros(1), box, params)
-    d, w_new, delta, s_l = first_order_quantities(st, np.array([2.0]), box)
-    assert d[0] == -2.0
-    assert w_new[0] == np.sqrt(0.25 + 4.0)
-    assert delta[0] == 2.0 / np.sqrt(4.25)
+    params = SolverParams(sigma=0.5, step_mode="first_order")
+    prob = _constant_gradient([2.0], BoundBox.unbounded(1), np.zeros(1))
+    args = (prob, Exact(), CurvatureSpec("zero"), params)
+    res = run(*args, 1, base_seed=0)
+    w = np.sqrt(0.25 + 4.0)
+    delta = 2.0 / w
+    assert res.norm_d[0] == 2.0
+    assert res.final_state.w[0] == w
     # |d| > delta, so the trust region is active: s_L = -delta
-    assert s_l[0] == -delta[0]
+    assert res.final_state.x[0] == -delta
+    assert res.step_sq[0] == delta * delta
+    two = run(*args, 2, base_seed=0)
+    assert two.final_state.w[0] == np.sqrt(w * w + 4.0)
 
 
 def test_first_order_rejects_nan_gradient():
-    box = BoundBox.unbounded(2)
-    st = SolverState.initial(np.zeros(2), box, SolverParams())
-    with pytest.raises(NumericalError):
-        first_order_quantities(st, np.array([np.nan, 0.0]), box)
+    prob = _constant_gradient([np.nan, 0.0], BoundBox.unbounded(2), np.zeros(2))
+    with pytest.raises(NumericalError, match="gradient"):
+        run(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 5,
+            base_seed=0, diagnostics=False)
 
 
 def test_step_monitors_all_pass_random_sweep():
+    # Random boxes and starting points, and gradient estimates of scale 3
+    # (a zero objective under Gaussian noise): every monitor holds on every
+    # step of both replications.
     rng = np.random.default_rng(0)
     params = SolverParams(sigma=0.05)
     for trial in range(50):
@@ -67,61 +74,66 @@ def test_step_monitors_all_pass_random_sweep():
         lower = rng.uniform(-2, 0, n)
         upper = lower + rng.uniform(0.5, 3, n)
         box = BoundBox(lower, upper)
-        prob = make_test_problem("boxed_quadratic", n, trial)
-        provider = make_provider(CurvatureSpec("zero"), prob.objective)
-        st = SolverState.initial(rng.uniform(lower, upper), box, params)
-        for _ in range(20):
-            g = rng.standard_normal(n) * 3
-            st, trace = step(st, _draw(g), provider, box, params)
-            assert all(trace.monitors.values()), trace.monitors
-            assert box.contains(st.x)
+        prob = _constant_gradient(np.zeros(n), box, rng.uniform(lower, upper))
+        for res in run_batch(prob, Gaussian(3.0), CurvatureSpec("zero"),
+                             params, 20, base_seed=trial, replications=2):
+            assert res.total_violations == 0, res.violations
+            assert box.contains(res.final_state.x)
 
 
 def test_gamma_is_one_for_zero_curvature():
     box = BoundBox(np.zeros(2), np.ones(2))
-    params = SolverParams()
-    provider = ZeroCurvature(1.0)
-    st = SolverState.initial(np.full(2, 0.5), box, params)
-    _, trace = step(st, _draw([1.0, -1.0]), provider, box, params)
-    assert trace.gamma == 1.0
-    assert np.array_equal(trace.s, trace.s_l)
+    prob = _constant_gradient([1.0, -1.0], box, np.full(2, 0.5))
+    args = (prob, Exact(), CurvatureSpec("zero"))
+    res = run(*args, SolverParams(), 5, base_seed=0)
+    assert (res.gamma == 1.0).all()
+    # s = s_L: the Cauchy step is the first-order one.
+    first = run(*args, SolverParams(step_mode="first_order"), 5, base_seed=0)
+    assert np.array_equal(res.final_state.x, first.final_state.x)
+    assert np.array_equal(res.step_sq, first.step_sq)
 
 
 def test_gamma_shrinks_with_strong_curvature():
-    # 1-d quadratic with huge curvature: the Cauchy scaling must engage.
-    prob = make_test_problem("boxed_quadratic", 1, 0)
-    box = BoundBox.unbounded(1)
-    obj = Objective(f=prob.objective.f, grad=prob.objective.grad,
+    # 1-d objective with gradient 4 and Hessian 50 at the start: the Cauchy
+    # scaling must engage.
+    obj = Objective(f=lambda x: 4.0 * x[..., 0],
+                    grad=lambda x: np.full(np.shape(x), 4.0),
                     hess_vec=lambda x, v: 50.0 * v,
-                    hess_bound=lambda x: 50.0, f_low=-1e6)
-    provider = make_provider(CurvatureSpec("exact_clipped", 100.0), obj)
+                    hess_bound=lambda x: np.full(np.shape(x)[:-1], 50.0),
+                    f_low=-1e6)
+    prob = BoxProblem("steep", obj, BoundBox.unbounded(1), np.zeros(1))
     params = SolverParams()
-    st = SolverState.initial(np.zeros(1), box, params)
-    _, trace = step(st, _draw([4.0]), provider, box, params)
-    # gamma = min(1, -g s_L / (s_L B s_L)) = min(1, 4*|s_L| / (50 s_L^2))
-    s_l = trace.s_l[0]
-    assert trace.gamma == pytest.approx(min(1.0, (4.0 * -s_l) / (50.0 * s_l**2)))
-    assert trace.gamma < 1.0
-    assert np.allclose(trace.s, trace.gamma * trace.s_l)
+    res = run(prob, Exact(), CurvatureSpec("exact_clipped", 100.0), params, 1,
+              base_seed=0)
+    # gamma = min(1, -g s_L / (s_L B s_L)) = min(1, 4 |s_L| / (50 s_L^2)),
+    # with s_L = -delta = -4 / w.
+    delta = 4.0 / np.sqrt(params.sigma**2 + 16.0)
+    gamma = res.gamma[0]
+    assert gamma == pytest.approx(min(1.0, 4.0 / (50.0 * delta)))
+    assert gamma < 1.0
+    assert res.final_state.x[0] == pytest.approx(-gamma * delta)
 
 
 def test_sign_adagrad_matches_plain_adagrad_unconstrained():
     # Unconstrained box, zero curvature: the iteration must reduce to
     # x_{k+1,i} = x_{k,i} - g_{k,i} / sqrt(sigma^2 + sum_{j<=k} g_{j,i}^2).
-    n = 4
-    box = BoundBox.unbounded(n)
+    # A zero objective under unit Gaussian noise makes g_k the standard
+    # normal vector of the replication's stream at iteration k.
+    n, horizon, seed = 4, 300, 123
     params = SolverParams(sigma=0.1, step_mode="sign_adagrad")
-    provider = ZeroCurvature(1.0)
-    rng = np.random.default_rng(123)
-    st = SolverState.initial(rng.standard_normal(n), box, params)
-    x_ref = st.x.copy()
+    x_ref = np.random.default_rng(seed).standard_normal(n)
+    prob = _constant_gradient(np.zeros(n), BoundBox.unbounded(n), x_ref)
+    res = run(prob, Gaussian(1.0), CurvatureSpec("zero"), params, horizon,
+              base_seed=seed)
+    stream = OracleStream(seed, 0)
     gsum = np.full(n, params.sigma**2)
-    for _ in range(300):
-        g = rng.standard_normal(n)
-        st, _ = step(st, _draw(g), provider, box, params)
+    for k in range(horizon):
+        g = stream.rng(k).standard_normal(n)
         gsum += g * g
-        x_ref = x_ref - g / np.sqrt(gsum)
-        assert np.allclose(st.x, x_ref, rtol=1e-12, atol=1e-14)
+        s = g / np.sqrt(gsum)
+        x_ref = x_ref - s
+        assert res.step_sq[k] == pytest.approx(s @ s, rel=1e-12)
+    assert np.allclose(res.final_state.x, x_ref, rtol=1e-12, atol=1e-14)
 
 
 def test_sign_adagrad_requires_zero_provider():
@@ -241,25 +253,26 @@ def test_run_diagnostics_off_skips_true_gradient():
     assert np.isfinite(res.norm_d).all()
 
 
-def test_step_trace_holds_every_monitor():
-    box = BoundBox(np.zeros(2), np.ones(2))
-    params = SolverParams()
-    st = SolverState.initial(np.full(2, 0.5), box, params)
-    g = np.array([1.0, -1.0])
-    _, trace = step(st, _draw(g, g_true=g + 0.1), ZeroCurvature(1.0), box,
-                    params)
-    assert list(trace.monitors) == list(MONITORS)
-    assert all(trace.monitors.values()), trace.monitors
-    # Without the true gradient there is no criticality triangle to check.
-    _, trace = step(st, OracleDraw(g, None, np.nan), ZeroCurvature(1.0), box,
-                    params)
-    assert list(trace.monitors) == list(MONITORS[:-1])
+def test_violations_name_every_monitor():
+    # Every result counts each monitor of MONITORS, in order.  At a slack of
+    # -0.5 the exact oracle breaks the criticality triangle
+    # ||Xi|| <= ||d|| + 0 on every step; it is only checked with
+    # diagnostics, which draw the true gradient.
+    prob = make_test_problem("boxed_quadratic", 2, 0)
+    args = (prob, Exact(), CurvatureSpec("zero"), SolverParams(), 30, 0)
+    assert run(*args).total_violations == 0
+    with_true = run(*args, slack=-0.5)
+    without = run(*args, diagnostics=False, slack=-0.5)
+    for res in (with_true, without):
+        assert list(res.violations) == list(MONITORS)
+    assert with_true.violations["xi_triangle"] == 30
+    assert without.violations["xi_triangle"] == 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_raises_on_divergent_objective():
-    obj = Objective(f=lambda x: float(np.exp(x[0])),
-                    grad=lambda x: np.array([np.exp(min(x[0], 700.0))]),
+    obj = Objective(f=lambda x: np.exp(x[..., 0]),
+                    grad=lambda x: np.exp(np.minimum(x, 700.0)),
                     f_low=0.0)
     prob = BoxProblem("explode", obj, BoundBox.unbounded(1),
                        np.array([800.0]))  # f overflows to inf immediately

@@ -43,17 +43,21 @@ def _patched_attributes():
 def test_tracer_patches_the_solver_and_restores_it(monkeypatch):
     before = _patched_attributes()
     tracer = _load_tracing(monkeypatch).Tracer().install()
+    names = ("solver.run", "solver.step", "oracle.draw",
+             "kernels.first_order", "geometry.project_box")
     try:
         assert _patched_attributes() != before
         args = (make_test_problem("boxed_quadratic", 3, 0), Gaussian(0.1),
                 CurvatureSpec("scalar_bb", 4.0), SolverParams(), 20, 0)
         solver.run(*args)
+        alone = [tracer.calls(name) for name in names]
         solver.run_batch(*args, replications=2)
+        batch = [tracer.calls(name) - n for name, n in zip(names, alone)]
     finally:
         tracer.uninstall()
-    assert tracer.calls("solver.run") == 1
-    assert tracer.calls("solver.step") == 20
-    # 20 from run(), through step(), and 20 from the batched loop.
-    assert tracer.calls("kernels.first_order") == 40
+    # One call of each per iteration, of run() and of run_batch alike, and
+    # two more projections: the starting point and the one block's Xi.
+    assert alone == [1, 20, 20, 20, 22]
+    assert batch == [0, 20, 20, 20, 22]
     after = _patched_attributes()
     assert all(after[key] is before[key] for key in before)
