@@ -76,16 +76,18 @@ class ScalarBB(CurvatureProvider):
         return np.asarray(self.sigma)[..., None] * np.asarray(v, dtype=np.float64)
 
     def observe(self, x_prev, x_new, g_prev, g_new):
-        s = np.asarray(x_new, dtype=np.float64) - np.asarray(x_prev, dtype=np.float64)
-        y = np.asarray(g_new) - np.asarray(g_prev)
-        # Per row, clipped with Python's min/max tie and NaN rules; a zero
-        # step keeps the row's previous scalar.
+        s = x_new - x_prev
         ss = np.vecdot(s, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = np.vecdot(s, y) / ss
-        raw = np.where(0.0 > raw, 0.0, raw)
-        raw = np.where(self.kappa_b < raw, self.kappa_b, raw)
-        self.sigma = np.where(ss == 0.0, self.sigma, raw)
+        # Per row; a zero step keeps the row's previous scalar, which is
+        # already clipped.  The clip keeps Python's min/max tie and NaN rules;
+        # a diverging run's inf/inf is NaN, silently.
+        sigma = np.full(ss.shape, self.sigma)
+        with np.errstate(invalid="ignore"):
+            np.divide(np.vecdot(s, g_new - g_prev), ss, out=sigma,
+                      where=ss != 0.0)
+        np.copyto(sigma, 0.0, where=0.0 > sigma)
+        np.copyto(sigma, self.kappa_b, where=self.kappa_b < sigma)
+        self.sigma = sigma
 
 
 class ExactClipped(CurvatureProvider):

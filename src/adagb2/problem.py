@@ -219,8 +219,13 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
 
     def grad(x):
         z = apply(signed, x)
-        s = 1.0 / (1.0 + np.exp(-z))  # sigma(-y a^T x)
-        return apply(signed.T, s) / m
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        s = np.divide(1.0, z, out=z)  # sigma(-y a^T x)
+        g = apply(signed.T, s)
+        g /= m
+        return g
 
     def hess_vec(x, v):
         z = apply(signed, x)

@@ -362,9 +362,9 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
             if not ok.all():
                 _non_finite(ok, "objective value", fval, k, replications)
             hist.f_values[:, k] = fval
-        ok = np.isfinite(g).all(axis=1)
-        if not ok.all():
-            _non_finite(ok, "gradient estimate", g, k, replications)
+        if not np.isfinite(g).all():
+            _non_finite(np.isfinite(g).all(axis=1), "gradient estimate", g, k,
+                        replications)
 
         j = k % hist.length
         x, w = step(x, w, od, provider, box, params, hist.slots[j])

@@ -263,3 +263,20 @@ def test_short_blocks_match_reference():
             config.solver, 100, config.base_seed)
     for r, res in enumerate(run_batch(*args, replications=4)):
         _assert_matches_reference(res, _reference(*args, r, True))
+
+
+def test_non_finite_gradient_names_its_replication():
+    # Only the second row's gradient is NaN; the message names its index.
+    def grad(x):
+        g = np.zeros_like(x)
+        g[1:] = np.nan
+        return g
+
+    obj = Objective(f=lambda x: x[..., 0], grad=grad, f_low=0.0)
+    prob = BoxProblem("nan_row", obj, BoundBox.unbounded(2),
+                      np.array([1.0, 0.5]))
+    with pytest.raises(NumericalError,
+                       match=r"non-finite gradient estimate \[nan nan\] "
+                             r"at iteration 0 \(replication 5\)"):
+        run_batch(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 5,
+                  base_seed=0, replications=[4, 5], diagnostics=False)

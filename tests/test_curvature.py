@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ def test_scalar_bb_clipping():
     p.observe(zero, one, zero, np.array([[1.5]]))
     p.observe(one, one, zero, one)  # zero step
     assert np.array_equal(p.sigma, [1.5])  # keeps the previous scalar
+
+
+def test_scalar_bb_diverged_row_is_nan_without_warning():
+    # inf/inf on a diverged row gives NaN, which the clip keeps, and no
+    # RuntimeWarning; the other row is unaffected.
+    p = ScalarBB(kappa_b=2.0)
+    zero = np.zeros((2, 1))
+    step = np.array([[np.inf], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p.observe(zero, step, zero, np.array([[np.inf], [1.5]]))
+    assert np.array_equal(p.sigma, [np.nan, 1.5], equal_nan=True)
 
 
 def test_exact_clipped_small_hessian_untouched():

@@ -162,3 +162,13 @@ def test_logistic_term_grad_full_batch_equals_gradient():
     x = np.array([0.1, -0.4, 0.7])
     full = obj.term_grad(x, np.arange(obj.num_terms))
     assert np.allclose(full, obj.grad(x), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(50, 4, 50), (7, 3, 50), (4, 50)])
+def test_logistic_grad_stack_matches_lone_points(shape):
+    # diagonal_fd's (n, R, n) stack and the (R, n) draw stack get the bits
+    # of one lone call per point.
+    obj = make_test_problem("finite_sum_logistic", shape[-1], 3).objective
+    x = np.random.default_rng(0).uniform(-5.0, 5.0, shape)
+    lone = np.stack([obj.grad(p) for p in x.reshape(-1, shape[-1])])
+    assert obj.grad(x).tobytes() == lone.reshape(shape).tobytes()
