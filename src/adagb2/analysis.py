@@ -1,22 +1,23 @@
 """Criticality measures, complexity constants and lemma-level oracles.
 
 Everything here is pure computation over problem data or collected run
-histories: the true projected-gradient criticality measure, the lower
-real branch of the Lambert function, the complexity constant of the
-convergence bound, the two technical lemmas used by its proof, and the
-one-dimensional counterexample showing that unbiasedness alone does not
-make the approximate and true measures coherent.
+histories: the per-iteration statistics over replications and the
+scenario report drawn from them, the true projected-gradient criticality
+measure, the lower real branch of the Lambert function, the complexity
+constant of the convergence bound, the two technical lemmas used by its
+proof, and the one-dimensional counterexample showing that unbiasedness
+alone does not make the approximate and true measures coherent.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import BoundBox, project_box
 from .problem import Objective
-from .solver import RunResult
+from .solver import RunResult, running_mean
 
 
 def true_criticality(obj: Objective, x, box: BoundBox) -> float:
@@ -123,20 +124,7 @@ class ConstantsReport:
     kappa_conv_upper: float
 
     def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "tau": self.tau,
-            "kappa_s": self.kappa_s,
-            "kappa_b": self.kappa_b,
-            "kappa_gg": self.kappa_gg,
-            "lipschitz": self.lipschitz,
-            "gamma0": self.gamma0,
-            "dim": self.dim,
-            "kappa_star": self.kappa_star,
-            "kappa_w": self.kappa_w,
-            "kappa_conv_exact": self.kappa_conv_exact,
-            "kappa_conv_upper": self.kappa_conv_upper,
-        }
+        return asdict(self)
 
 
 def compute_constants(sigma: float, tau: float, kappa_s: float, kappa_b: float,
@@ -269,8 +257,94 @@ def counterexample_simulate(k_values: Sequence[int], reps: int,
 
 
 # ---------------------------------------------------------------------------
-# Scenario classification over replications
+# Statistics over replications
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Aggregate:
+    """Per-iteration statistics over (event-conditioned) replications.
+
+    ``COLUMNS`` names the columns of both aggregate outputs, in order;
+    column ``p_A`` is the field ``p_a``.
+    """
+
+    k: np.ndarray
+    mean_norm_d: np.ndarray
+    se_norm_d: np.ndarray
+    mean_norm_xi: np.ndarray
+    se_norm_xi: np.ndarray
+    mean_err: np.ndarray
+    mean_rmse: np.ndarray
+    run_avg_d: np.ndarray
+    run_avg_xi: np.ndarray
+    min_xi: np.ndarray
+    """Running minimum of ||Xi_k|| over *all* aggregated replications at once:
+    entry k is the smallest ||Xi_j||, j <= k, that any replication reached.
+    A best case, not a per-replication figure; written as the ``min_xi``
+    column of ``aggregate.csv`` and as ``final_min_xi`` in ``summary.json``."""
+    p_a: float
+    violations: np.ndarray
+    reps_used: int
+
+    COLUMNS = ("k", "mean_norm_d", "se_norm_d", "mean_norm_xi", "se_norm_xi",
+               "mean_err", "mean_rmse", "run_avg_d", "run_avg_xi", "min_xi",
+               "p_A", "violations")
+
+    def columns(self) -> dict:
+        """Each name of ``COLUMNS`` with its value, in order."""
+        return {name: getattr(self, "p_a" if name == "p_A" else name)
+                for name in self.COLUMNS}
+
+
+def _selected(results: Sequence[RunResult]) -> list:
+    """The replications with the iteration-zero event ||d_0||^2 >= sigma,
+    or all of them when none has it."""
+    if not results:
+        raise ValueError("need at least one replication")
+    return [r for r in results if r.event_a] or list(results)
+
+
+def aggregate_results(results: Sequence[RunResult]) -> Aggregate:
+    """Merge replications (in index order) into per-iteration statistics.
+
+    Statistics are conditioned on the iteration-zero event ||d_0||^2 >= sigma
+    when at least one replication satisfies it, mirroring the conditioning of
+    the stochastic theory; p_A is always the unconditional fraction.
+    """
+    selected = _selected(results)
+    p_a = float(np.mean([r.event_a for r in results]))
+    horizon = selected[0].horizon
+    if any(r.horizon != horizon for r in selected):
+        raise ValueError("replications have mismatched horizons")
+    reps = len(selected)
+    d = np.stack([r.norm_d for r in selected])
+    xi = np.stack([r.norm_xi for r in selected])
+    err = np.stack([r.err_norm for r in selected])
+    viol = np.sum([r.violation_count for r in selected], axis=0)
+
+    def _se(mat):
+        if reps < 2:
+            return np.zeros(horizon)
+        return mat.std(axis=0, ddof=1) / math.sqrt(reps)
+
+    mean_d = d.mean(axis=0)
+    mean_xi = xi.mean(axis=0)
+    return Aggregate(
+        k=np.arange(horizon),
+        mean_norm_d=mean_d,
+        se_norm_d=_se(d),
+        mean_norm_xi=mean_xi,
+        se_norm_xi=_se(xi),
+        mean_err=err.mean(axis=0),
+        mean_rmse=np.sqrt(np.mean(err * err, axis=0)),
+        run_avg_d=running_mean(mean_d),
+        run_avg_xi=running_mean(mean_xi),
+        min_xi=np.minimum.accumulate(xi.min(axis=0)),
+        p_a=p_a,
+        violations=viol,
+        reps_used=reps,
+    )
 
 
 @dataclass(frozen=True)
@@ -303,22 +377,17 @@ def scenario_classifier(results: Sequence[RunResult],
     Reports the per-iteration measure-coherence and error ratios plus the
     directional-error diagnostic, and flags which convergence scenario
     (coherently distributed / controlled error / general) the data looks
-    consistent with.  This is a trend report, not a statistical test.
+    consistent with.  This is a trend report, not a statistical test.  The
+    replications are those ``aggregate_results`` conditions on.
     """
-    if not results:
-        raise ValueError("need at least one replication")
-    selected = [r for r in results if r.event_a] or list(results)
-    mean_d = np.mean([r.norm_d for r in selected], axis=0)
-    mean_xi = np.mean([r.norm_xi for r in selected], axis=0)
-    mean_err = np.mean([r.err_norm for r in selected], axis=0)
+    agg = aggregate_results(results)
+    selected = _selected(results)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coherence = mean_xi / mean_d
-        err_ratio = mean_err / mean_d
+        coherence = agg.mean_norm_xi / agg.mean_norm_d
+        err_ratio = agg.mean_err / agg.mean_norm_d
     total_dir = float(np.nansum([np.nansum(r.dir_err) for r in selected]))
     total_sq = float(np.sum([np.sum(r.step_sq) for r in selected]))
     kappa_gg_sq = total_dir / total_sq if total_sq > 0 else 0.0
-    horizon = selected[0].horizon
-    beta = np.cumsum(mean_err) / np.arange(1, horizon + 1)
 
     coherent = _tail_head_growth(coherence) < growth_cutoff
     controlled = _tail_head_growth(err_ratio) < growth_cutoff
@@ -330,7 +399,8 @@ def scenario_classifier(results: Sequence[RunResult],
         scenario = "general"
     return ScenarioReport(
         coherence_ratio=coherence, err_ratio=err_ratio,
-        kappa_gg_sq_diag=kappa_gg_sq, beta=beta, scenario=scenario,
+        kappa_gg_sq_diag=kappa_gg_sq, beta=running_mean(agg.mean_err),
+        scenario=scenario,
         flags={"coherently_distributed": coherent,
                "controlled_error": controlled},
     )

@@ -7,6 +7,7 @@ floats are printed with 17 significant digits, replications are merged in
 replication-index order regardless of how they were scheduled.
 """
 
+import functools
 import json
 import math
 import os
@@ -16,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import ConstantsReport, compute_constants
+from .analysis import (Aggregate, ConstantsReport, aggregate_results,
+                       compute_constants)
 from .curvature import CurvatureSpec
 from .errors import ConfigurationError
 from .geometry import BoundBox
@@ -34,6 +36,25 @@ from .solver import (MONITORS, RunResult, SolverParams, SolverState, run,
 
 _REQUIRED = object()
 
+# The JSON types each config kind takes.  bool is a subclass of int, so a
+# bool is taken only where a bool is asked for.
+_JSON_TYPES = {float: (int, float), int: (int, float), bool: bool, str: str,
+               list: list, dict: dict}
+
+
+def _typed(where: str, kind, value):
+    """``value`` as ``kind``, or a ConfigurationError that names ``where``."""
+    if (isinstance(value, _JSON_TYPES[kind])
+            and isinstance(value, bool) == (kind is bool)
+            and not (kind is int and isinstance(value, float)
+                     and not value.is_integer())):
+        try:
+            return kind(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigurationError(
+        f"{where}: expected {kind.__name__}, got {value!r}")
+
 
 class _Section:
     """Strict key-by-key consumer for one config section."""
@@ -49,42 +70,18 @@ class _Section:
             if default is _REQUIRED:
                 raise ConfigurationError(f"{self.name}.{key}: required")
             return default
-        value = self.data.pop(key)
-        try:
-            if kind is float:
-                if isinstance(value, bool):
-                    raise TypeError
-                return float(value)
-            if kind is int:
-                if isinstance(value, bool) or int(value) != value:
-                    raise TypeError
-                return int(value)
-            if kind is bool:
-                if not isinstance(value, bool):
-                    raise TypeError
-                return value
-            if kind is str:
-                if not isinstance(value, str):
-                    raise TypeError
-                return value
-            if kind is list:
-                if not isinstance(value, list):
-                    raise TypeError
-                return value
-            if kind is dict:
-                if not isinstance(value, dict):
-                    raise TypeError
-                return value
-        except (TypeError, ValueError):
-            pass
-        raise ConfigurationError(
-            f"{self.name}.{key}: expected {kind.__name__}, got {value!r}"
-        )
+        return _typed(f"{self.name}.{key}", kind, self.data.pop(key))
 
     def finish(self):
         if self.data:
             extra = ", ".join(sorted(self.data))
             raise ConfigurationError(f"{self.name}: unknown keys: {extra}")
+
+
+def _floats(where: str, values: list) -> tuple:
+    """Each entry of a config list as a float."""
+    return tuple(_typed(f"{where}[{i}]", float, v)
+                 for i, v in enumerate(values))
 
 
 def _parse_oracle(name: str, data: dict):
@@ -101,7 +98,7 @@ def _parse_oracle(name: str, data: dict):
             model = AffineGaussian(sec.take("kappa1", float),
                                    sec.take("kappa2", float))
         elif kind == "constant_bias":
-            bias = np.asarray(sec.take("bias", list), dtype=np.float64)
+            bias = np.array(_floats(f"{name}.bias", sec.take("bias", list)))
             inner = _parse_oracle(f"{name}.inner", sec.take("inner", dict))
             model = ConstantBias(bias, inner)
         elif kind == "relative_bias":
@@ -160,8 +157,8 @@ class ExperimentConfig:
             lower = bsec.take("lower", list)
             upper = bsec.take("upper", list)
             bsec.finish()
-            bounds = (tuple(float(v) for v in lower),
-                      tuple(float(v) for v in upper))
+            bounds = (_floats("bounds.lower", lower),
+                      _floats("bounds.upper", upper))
 
         oracle = _parse_oracle("oracle", data.get("oracle", {"kind": "exact"}))
 
@@ -242,84 +239,6 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Aggregate:
-    """Per-iteration statistics over (event-conditioned) replications."""
-
-    k: np.ndarray
-    mean_norm_d: np.ndarray
-    se_norm_d: np.ndarray
-    mean_norm_xi: np.ndarray
-    se_norm_xi: np.ndarray
-    mean_err: np.ndarray
-    mean_rmse: np.ndarray
-    run_avg_d: np.ndarray
-    run_avg_xi: np.ndarray
-    min_xi: np.ndarray
-    """Running minimum of ||Xi_k|| over *all* aggregated replications at once:
-    entry k is the smallest ||Xi_j||, j <= k, that any replication reached.
-    A best case, not a per-replication figure; written as the ``min_xi``
-    column of ``aggregate.csv`` and as ``final_min_xi`` in ``summary.json``."""
-    p_a: float
-    violations: np.ndarray
-    reps_used: int
-
-    COLUMNS = (
-        "k,mean_norm_d,se_norm_d,mean_norm_xi,se_norm_xi,mean_err,mean_rmse,"
-        "run_avg_d,run_avg_xi,min_xi,p_A,violations"
-    )
-
-
-def aggregate_results(results: Sequence[RunResult]) -> Aggregate:
-    """Merge replications (in index order) into per-iteration statistics.
-
-    Statistics are conditioned on the iteration-zero event ||d_0||^2 >= sigma
-    when at least one replication satisfies it, mirroring the conditioning of
-    the stochastic theory; p_A is always the unconditional fraction.
-    """
-    if not results:
-        raise ValueError("no replications to aggregate")
-    p_a = float(np.mean([r.event_a for r in results]))
-    selected = [r for r in results if r.event_a] or list(results)
-    horizon = selected[0].horizon
-    if any(r.horizon != horizon for r in selected):
-        raise ValueError("replications have mismatched horizons")
-    reps = len(selected)
-    d = np.stack([r.norm_d for r in selected])
-    xi = np.stack([r.norm_xi for r in selected])
-    err = np.stack([r.err_norm for r in selected])
-    viol = np.sum([r.violation_count for r in selected], axis=0)
-
-    def _se(mat):
-        if reps < 2:
-            return np.zeros(horizon)
-        return mat.std(axis=0, ddof=1) / math.sqrt(reps)
-
-    mean_d = d.mean(axis=0)
-    mean_xi = xi.mean(axis=0)
-    counts = np.arange(1, horizon + 1)
-    return Aggregate(
-        k=np.arange(horizon),
-        mean_norm_d=mean_d,
-        se_norm_d=_se(d),
-        mean_norm_xi=mean_xi,
-        se_norm_xi=_se(xi),
-        mean_err=err.mean(axis=0),
-        mean_rmse=np.sqrt(np.mean(err * err, axis=0)),
-        run_avg_d=np.cumsum(mean_d) / counts,
-        run_avg_xi=np.cumsum(mean_xi) / counts,
-        min_xi=np.minimum.accumulate(xi.min(axis=0)),
-        p_a=p_a,
-        violations=viol,
-        reps_used=reps,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Experiment execution
 # ---------------------------------------------------------------------------
 
@@ -344,11 +263,6 @@ def _run_block(config: ExperimentConfig, replications) -> list:
     )
 
 
-def _run_block_from_dict(args) -> list:
-    data, replications = args
-    return _run_block(ExperimentConfig.from_dict(data), replications)
-
-
 def _blocks(count: int, parts: int) -> list:
     """``range(count)`` cut into ``parts`` contiguous blocks, sizes within one."""
     size, extra = divmod(count, parts)
@@ -369,7 +283,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         blocks = _blocks(config.replications, parts)
         with ProcessPoolExecutor(max_workers=parts) as pool:
             results = [res for block in pool.map(
-                _run_block_from_dict, [(config.raw, b) for b in blocks])
+                functools.partial(_run_block, config), blocks)
                 for res in block]
     else:
         results = _run_block(config, config.replications)
@@ -462,10 +376,8 @@ def verify_deterministic_bound(problem: TestProblem, params: SolverParams,
         kappa_b=curvature.kappa_b, kappa_gg=0.0, lipschitz=obj.lipschitz,
         gamma0=gamma0, dim=problem.box.n,
     )
-    counts = np.arange(1, horizon + 1, dtype=np.float64)
-    bound = constants.kappa_conv_exact / np.sqrt(counts)
-    avg_xi = np.cumsum(result.norm_xi) / counts
-    ratios = avg_xi / bound
+    bound = constants.kappa_conv_exact / np.sqrt(np.arange(1, horizon + 1))
+    ratios = result.run_avg_xi / bound
     max_ratio = float(ratios.max())
     return DeterministicBoundReport(
         applicable=True, reason="", kappa_conv=constants.kappa_conv_exact,
@@ -507,45 +419,38 @@ def markov_complexity_report(results: Sequence[RunResult], epsilon: float,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.17g}"
+def _write_csv(path: str, header: Sequence[str], blocks) -> None:
+    """Write ``header``, then one line per row of each block of columns.
+
+    A block is a list of equal-length 1-D arrays, one per column of
+    ``header``.  Integer columns print with ``%d`` and float columns with
+    ``%.17g``, which reads back to the same double ("nan" for any NaN).
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            template = ",".join("%.17g" if c.dtype.kind == "f" else "%d"
+                                for c in columns) + "\n"
+            fh.write("".join([template % row for row in
+                              zip(*(c.tolist() for c in columns))]))
 
 
 def write_aggregate_csv(path: str, agg: Aggregate) -> None:
-    lines = [Aggregate.COLUMNS]
-    for i in range(agg.k.shape[0]):
-        lines.append(",".join([
-            _fmt(agg.k[i]), _fmt(agg.mean_norm_d[i]), _fmt(agg.se_norm_d[i]),
-            _fmt(agg.mean_norm_xi[i]), _fmt(agg.se_norm_xi[i]),
-            _fmt(agg.mean_err[i]), _fmt(agg.mean_rmse[i]),
-            _fmt(agg.run_avg_d[i]), _fmt(agg.run_avg_xi[i]),
-            _fmt(agg.min_xi[i]), _fmt(agg.p_a), _fmt(agg.violations[i]),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [np.broadcast_to(value, agg.k.shape)  # p_A is one number
+               for value in agg.columns().values()]
+    _write_csv(path, Aggregate.COLUMNS, [columns])
 
 
-TRACE_COLUMNS = "rep,k,norm_d,norm_xi,err_norm,gamma,f,event_A"
+TRACE_COLUMNS = ("rep", "k", "norm_d", "norm_xi", "err_norm", "gamma", "f",
+                 "event_A")
 
 
 def write_traces_csv(path: str, results: Sequence[RunResult]) -> None:
-    # f"{v:.17g}" on a Python float is _fmt(v), "nan" included.
-    lines = [TRACE_COLUMNS]
-    for rep, res in enumerate(results):
-        flag = "1" if res.event_a else "0"
-        columns = zip(res.norm_d.tolist(), res.norm_xi.tolist(),
-                      res.err_norm.tolist(), res.gamma.tolist(),
-                      res.f_values.tolist())
-        lines.extend(
-            f"{rep},{k},{d:.17g},{xi:.17g},{err:.17g},{gam:.17g},{f:.17g},{flag}"
-            for k, (d, xi, err, gam, f) in enumerate(columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, TRACE_COLUMNS, (
+        [np.full(res.horizon, rep), np.arange(res.horizon), res.norm_d,
+         res.norm_xi, res.err_norm, res.gamma, res.f_values,
+         np.full(res.horizon, int(res.event_a))]
+        for rep, res in enumerate(results)))
 
 
 def _json_default(obj):
@@ -597,16 +502,7 @@ def write_experiment_outputs(exp: ExperimentResult, out_dir: str,
             paths.append(tr_path)
     elif fmt == "json":
         agg_path = os.path.join(out_dir, "aggregate.json")
-        agg = exp.aggregate
-        payload = {
-            "k": agg.k, "mean_norm_d": agg.mean_norm_d,
-            "se_norm_d": agg.se_norm_d, "mean_norm_xi": agg.mean_norm_xi,
-            "se_norm_xi": agg.se_norm_xi, "mean_err": agg.mean_err,
-            "mean_rmse": agg.mean_rmse, "run_avg_d": agg.run_avg_d,
-            "run_avg_xi": agg.run_avg_xi, "min_xi": agg.min_xi,
-            "p_A": agg.p_a, "violations": agg.violations,
-        }
-        write_summary_json(agg_path, payload)
+        write_summary_json(agg_path, exp.aggregate.columns())
         paths.append(agg_path)
     else:
         raise ConfigurationError(f"unknown output format {fmt!r}")

@@ -220,21 +220,19 @@ def validate_model(model, obj: Objective) -> None:
         validate_model(model.inner, obj)
 
 
-def draw(obj: Objective, x, model, rngs, with_true: bool = True,
-         validate: bool = True) -> OracleDraw:
+def draw(obj: Objective, x, model, rngs,
+         with_true: bool = True) -> OracleDraw:
     """One gradient estimate g(x, xi) per row of ``x`` (R, n).
 
     Row r draws from ``rngs[r]``, as a lone point would, so a row's
     estimate does not depend on the other rows; a single point is passed
     as one row.  The objective's ``grad`` is called once on all rows.
     ``with_true=False`` skips the true-gradient diagnostic when the model
-    itself does not need G (only possible for pure subsampling).
-    ``validate=False`` skips ``validate_model``, for callers that checked
-    the model once before a loop of draws.
+    itself does not need G (only possible for pure subsampling).  The
+    model is not validated here: callers run ``validate_model`` once,
+    before their draws.
     """
     x = np.asarray(x, dtype=np.float64)
-    if validate:
-        validate_model(model, obj)
     need_true = with_true or _needs_true_gradient(model)
     g_true = obj.grad(x) if need_true else None
     g = _sample(obj, x, model, rngs, g_true)

@@ -22,7 +22,7 @@ the same row-wise operations and all monitors are checked, so every row
 gets the bits its replication gets alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -178,9 +178,18 @@ def step(x, w, oracle_draw, provider, box: BoundBox, params: SolverParams,
     return project_box(x_raw, box), w_new
 
 
+def running_mean(values: np.ndarray) -> np.ndarray:
+    """Entry k is the mean of values[0] to values[k]."""
+    return np.cumsum(values) / np.arange(1, values.shape[0] + 1)
+
+
 @dataclass
 class RunResult:
-    """Per-iteration scalar history of one replication."""
+    """Per-iteration scalar history of one replication.
+
+    Its array fields are the histories, ``HISTORIES``: one value per
+    iteration, as rows of the (R, horizon) arrays of the run.
+    """
 
     horizon: int
     event_a: bool
@@ -197,11 +206,11 @@ class RunResult:
 
     @property
     def run_avg_d(self) -> np.ndarray:
-        return np.cumsum(self.norm_d) / np.arange(1, self.horizon + 1)
+        return running_mean(self.norm_d)
 
     @property
     def run_avg_xi(self) -> np.ndarray:
-        return np.cumsum(self.norm_xi) / np.arange(1, self.horizon + 1)
+        return running_mean(self.norm_xi)
 
     @property
     def min_xi(self) -> np.ndarray:
@@ -210,6 +219,9 @@ class RunResult:
     @property
     def total_violations(self) -> int:
         return sum(self.violations.values())
+
+
+HISTORIES = tuple(f.name for f in fields(RunResult) if f.type is np.ndarray)
 
 
 class _Histories:
@@ -225,13 +237,12 @@ class _Histories:
     def __init__(self, reps, n, horizon, diagnostics, box, kappa_b, params,
                  slack):
         shape = (reps, horizon)
-        self.norm_d, self.gamma, self.step_sq = (np.empty(shape) for _ in range(3))
-        self.norm_xi, self.err_norm, self.f_values, self.dir_err = (
-            np.full(shape, np.nan) for _ in range(4))
-        self.violation_count = np.zeros(shape, dtype=np.int64)
-        fields = len(_VECTORS) - (not diagnostics)
-        self.length = max(1, min(BLOCK, BLOCK_BYTES // (8 * fields * reps * n)))
-        self.vectors = np.empty((fields, self.length, reps, n))
+        for name in HISTORIES:  # NaN stays where a diagnostic is not computed
+            setattr(self, name, np.zeros(shape, np.int64)
+                    if name == "violation_count" else np.full(shape, np.nan))
+        kinds = len(_VECTORS) - (not diagnostics)
+        self.length = max(1, min(BLOCK, BLOCK_BYTES // (8 * kinds * reps * n)))
+        self.vectors = np.empty((kinds, self.length, reps, n))
         self.scalars = np.empty((3, self.length, reps))  # g.s_L, qf_sL, gamma
         self.slots = [(*self.scalars[:, j], *self.vectors[:, j])
                       for j in range(self.length)]
@@ -284,11 +295,8 @@ class _Histories:
         violations.update(zip(self.checked, self.failed[r].tolist()))
         return RunResult(
             horizon=self.gamma.shape[-1], event_a=event_a,
-            norm_d=self.norm_d[r], norm_xi=self.norm_xi[r],
-            err_norm=self.err_norm[r], gamma=self.gamma[r],
-            f_values=self.f_values[r], dir_err=self.dir_err[r],
-            step_sq=self.step_sq[r], violations=violations,
-            violation_count=self.violation_count[r], final_state=final_state)
+            violations=violations, final_state=final_state,
+            **{name: getattr(self, name)[r] for name in HISTORIES})
 
 
 def run(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
@@ -348,7 +356,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
 
     for k in range(horizon):
         od = draw(obj, x, oracle_model, [st.rng_shared(k) for st in streams],
-                  with_true=diagnostics, validate=False)
+                  with_true=diagnostics)
         g = od.g
         if g.shape != x.shape:
             raise ValueError(f"gradient shape {g.shape} does not match {x.shape}")

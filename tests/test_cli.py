@@ -106,10 +106,14 @@ def test_missing_config_is_usage_error(capsys):
 
 def test_invalid_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"problem": {"name": "nope", "dim": 2},
-                               "run": {"horizon": 5}}))
-    code = cli_main(["run", "--config", str(bad)])
-    assert code == 2
+    for config in ({"problem": {"name": "nope", "dim": 2},
+                    "run": {"horizon": 5}},
+                   {**CONFIG, "bounds": {"lower": [None, 0, 0],
+                                         "upper": [1, 1, 1]}}):
+        bad.write_text(json.dumps(config))
+        code = cli_main(["run", "--config", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("section, values", [

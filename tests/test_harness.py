@@ -6,9 +6,8 @@ import pytest
 
 from adagb2.curvature import CurvatureSpec
 from adagb2.errors import ConfigurationError
-from adagb2.harness import (TRACE_COLUMNS, Aggregate, ExperimentConfig, _fmt,
-                            aggregate_results, fit_rate,
-                            markov_complexity_report, run_experiment,
+from adagb2.harness import (Aggregate, ExperimentConfig, aggregate_results,
+                            fit_rate, markov_complexity_report, run_experiment,
                             verify_deterministic_bound, write_aggregate_csv,
                             write_experiment_outputs, write_traces_csv)
 from adagb2.oracle import ConstantBias, Gaussian
@@ -23,6 +22,16 @@ BASE_CONFIG = {
                "step_mode": "cauchy"},
     "run": {"horizon": 50, "replications": 3, "base_seed": 7},
 }
+
+
+def _fmt(value) -> str:
+    """The reference number format of the CSV outputs."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if math.isnan(v):
+        return "nan"
+    return f"{v:.17g}"
 
 
 def _config(**overrides):
@@ -75,6 +84,30 @@ def test_config_type_errors():
         ExperimentConfig.from_dict(_config(run={"horizon": True}))  # bool != int
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict(_config(oracle={"kind": "laplace"}))
+    with pytest.raises(ConfigurationError, match="solver.sigma"):
+        ExperimentConfig.from_dict(_config(solver={"sigma": "0.1"}))
+    with pytest.raises(ConfigurationError, match="solver.tau"):
+        ExperimentConfig.from_dict(_config(solver={"tau": True}))
+    with pytest.raises(ConfigurationError, match="run.horizon"):
+        ExperimentConfig.from_dict(_config(run={"horizon": 2.5}))
+    with pytest.raises(ConfigurationError, match="run.horizon"):
+        ExperimentConfig.from_dict(_config(run={"horizon": math.inf}))
+    with pytest.raises(ConfigurationError, match="solver.tau"):
+        ExperimentConfig.from_dict(_config(solver={"tau": 10**400}))
+    for lower in ([None, 0, 0, 0], [[0], 0, 0, 0], [False, 0, 0, 0],
+                  ["0", 0, 0, 0]):
+        with pytest.raises(ConfigurationError, match=r"bounds.lower\[0\]"):
+            ExperimentConfig.from_dict(_config(bounds={
+                "lower": lower, "upper": [1.0] * 4}))
+    with pytest.raises(ConfigurationError, match=r"oracle.bias\[1\]"):
+        ExperimentConfig.from_dict(_config(oracle={
+            "kind": "constant_bias", "bias": [0.0, True, 0.0, 0.0],
+            "inner": {"kind": "exact"}}))
+    # An integral float is taken as an int, an int as a float.
+    cfg = ExperimentConfig.from_dict(_config(run={"horizon": 50.0},
+                                             solver={"tau": 1}))
+    assert cfg.horizon == 50 and isinstance(cfg.horizon, int)
+    assert cfg.solver.tau == 1.0 and isinstance(cfg.solver.tau, float)
 
 
 def test_config_nested_oracle():
@@ -237,7 +270,7 @@ def test_csv_output_format(tmp_path):
     path = tmp_path / "agg.csv"
     write_aggregate_csv(str(path), exp.aggregate)
     lines = path.read_text().splitlines()
-    assert lines[0] == Aggregate.COLUMNS
+    assert lines[0] == ",".join(Aggregate.COLUMNS)
     assert len(lines) == 51
     first = lines[1].split(",")
     assert first[0] == "0"
@@ -262,7 +295,22 @@ def test_traces_csv_matches_fmt_reference(tmp_path):
     exp = run_experiment(ExperimentConfig.from_dict(
         _config(run={"diagnostics": False})))
     assert np.isnan(exp.results[0].norm_xi).all()
-    lines = [TRACE_COLUMNS]
+    agg = exp.aggregate
+    lines = ["k,mean_norm_d,se_norm_d,mean_norm_xi,se_norm_xi,mean_err,"
+             "mean_rmse,run_avg_d,run_avg_xi,min_xi,p_A,violations"]
+    for i in range(agg.k.shape[0]):
+        lines.append(",".join([
+            _fmt(agg.k[i]), _fmt(agg.mean_norm_d[i]), _fmt(agg.se_norm_d[i]),
+            _fmt(agg.mean_norm_xi[i]), _fmt(agg.se_norm_xi[i]),
+            _fmt(agg.mean_err[i]), _fmt(agg.mean_rmse[i]),
+            _fmt(agg.run_avg_d[i]), _fmt(agg.run_avg_xi[i]),
+            _fmt(agg.min_xi[i]), _fmt(agg.p_a), _fmt(agg.violations[i]),
+        ]))
+    path = tmp_path / "aggregate.csv"
+    write_aggregate_csv(str(path), agg)
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    lines = ["rep,k,norm_d,norm_xi,err_norm,gamma,f,event_A"]
     for rep, res in enumerate(exp.results):
         flag = "1" if res.event_a else "0"
         for k in range(res.horizon):
@@ -277,9 +325,12 @@ def test_traces_csv_matches_fmt_reference(tmp_path):
 
 
 def test_fmt_matches_float_format():
+    # The CSV writer formats floats with "%.17g" and ints with "%d".
     for v in (0.0, -0.0, 1.0 / 3.0, -2.5e-300, 5e-324, 1e308, np.inf,
-              -np.inf, np.nan):
-        assert _fmt(np.float64(v)) == f"{float(v):.17g}"
+              -np.inf, np.nan, -np.nan):
+        assert _fmt(np.float64(v)) == f"{float(v):.17g}" == "%.17g" % v
+    for v in (0, -3, 2**62):
+        assert _fmt(np.int64(v)) == "%d" % v
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):

@@ -1,16 +1,18 @@
-"""The names the benchmark's tracer patches must exist in the package.
+"""The names the benchmark's tracer patches or reads must exist.
 
 ``perfbench/tracing.py`` replaces module attributes of ``adagb2`` by name,
 outside the benchmark's crash guard, so a renamed attribute would break
 every traced benchmark run.  The tracer module is loaded from its file and
-used as it is.
+used as it is.  ``perfbench/run.py`` and ``perfbench/workloads.py`` read
+more names on every run, untraced runs included.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from adagb2 import _kernels, harness, oracle, solver
+import adagb2
+from adagb2 import _kernels, analysis, harness, oracle, solver
 from adagb2.curvature import CurvatureSpec
 from adagb2.oracle import Gaussian
 from adagb2.problem import make_test_problem
@@ -61,3 +63,19 @@ def test_tracer_patches_the_solver_and_restores_it(monkeypatch):
     assert batch == [0, 20, 20, 20, 22]
     after = _patched_attributes()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_benchmark_reads_these_names():
+    names = {
+        adagb2: ("KERNEL_BACKEND",),
+        solver.SolverState: ("initial",),
+        oracle.OracleStream: ("rng",),
+        harness: ("ExperimentConfig", "fit_rate", "markov_complexity_report",
+                  "write_experiment_outputs"),
+        harness.ExperimentConfig: ("from_dict", "build_problem"),
+        analysis: ("compute_constants",),
+    }
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attrs in names.items() for attr in attrs
+               if not hasattr(owner, attr)]
+    assert missing == []
