@@ -21,8 +21,9 @@ from .curvature import CurvatureSpec
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, project_box, project_box_cap_trust
 from .harness import (ExperimentConfig, fit_rate, markov_complexity_report,
-                      run_experiment, verify_deterministic_bound,
-                      write_experiment_outputs, write_summary_json)
+                      run_experiment, theory_constants,
+                      verify_deterministic_bound, write_experiment_outputs,
+                      write_summary_json)
 from .problem import PROBLEM_NAMES, make_test_problem
 from .solver import SolverParams
 
@@ -123,10 +124,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_mc(args) -> int:
     config = _load_config(args, force_single=False)
-    if args.epsilon is not None and not config.diagnostics:
-        raise ConfigurationError(
-            "--epsilon needs diagnostics: min ||Xi|| is not computed with "
-            "--no-diagnostics or run.diagnostics false")
+    if args.epsilon is not None:
+        if not config.diagnostics:
+            raise ConfigurationError(
+                "--epsilon needs diagnostics: min ||Xi|| is not computed with "
+                "--no-diagnostics or run.diagnostics false")
+        constants = theory_constants(config.build_problem(), config.solver,
+                                     config.curvature.kappa_b)
     exp = run_experiment(config)
     agg = exp.aggregate
     last = config.horizon - 1
@@ -137,19 +141,6 @@ def _cmd_mc(args) -> int:
         print(f"rate fit over [{args.fit_kmin}, {args.fit_kmax}]: "
               f"slope={slope:.4f} r2={r2:.4f}")
     if args.epsilon is not None:
-        problem = config.build_problem()
-        obj = problem.objective
-        from .solver import SolverState
-
-        x0 = SolverState.initial(problem.x_ini, problem.box, config.solver).x
-        gamma0 = obj.f(x0) - obj.f_low
-        lipschitz = obj.lipschitz if obj.lipschitz is not None else 0.0
-        constants = compute_constants(
-            sigma=config.solver.sigma, tau=config.solver.tau,
-            kappa_s=config.solver.kappa_s, kappa_b=config.curvature.kappa_b,
-            kappa_gg=0.0, lipschitz=lipschitz, gamma0=max(gamma0, 1e-12),
-            dim=problem.box.n,
-        )
         report = markov_complexity_report(exp.results, args.epsilon,
                                           args.delta,
                                           constants.kappa_conv_exact)

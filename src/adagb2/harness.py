@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,8 +22,7 @@ from .analysis import (Aggregate, ConstantsReport, aggregate_results,
 from .curvature import CurvatureSpec
 from .errors import ConfigurationError
 from .geometry import BoundBox
-from .oracle import (AffineGaussian, BoundedUniform, ConstantBias, Exact,
-                     Gaussian, RelativeBias, Subsample)
+from .oracle import NOISE_MODELS, Exact, NoiseModel
 from .problem import TestProblem, make_test_problem
 from .solver import (MONITORS, RunResult, SolverParams, SolverState, run,
                      run_batch)
@@ -84,31 +83,25 @@ def _floats(where: str, values: list) -> tuple:
                  for i, v in enumerate(values))
 
 
-def _parse_oracle(name: str, data: dict):
+def _parse_oracle(name: str, data: dict) -> NoiseModel:
+    """The noise model of ``NOISE_MODELS[kind]``, one config key per field."""
     sec = _Section(name, data)
     kind = sec.take("kind", str)
-    try:
-        if kind == "exact":
-            model = Exact()
-        elif kind == "gaussian":
-            model = Gaussian(sec.take("sigma", float))
-        elif kind == "bounded_uniform":
-            model = BoundedUniform(sec.take("radius", float))
-        elif kind == "affine_gaussian":
-            model = AffineGaussian(sec.take("kappa1", float),
-                                   sec.take("kappa2", float))
-        elif kind == "constant_bias":
-            bias = np.array(_floats(f"{name}.bias", sec.take("bias", list)))
-            inner = _parse_oracle(f"{name}.inner", sec.take("inner", dict))
-            model = ConstantBias(bias, inner)
-        elif kind == "relative_bias":
-            model = RelativeBias(sec.take("rho", float),
-                                 _parse_oracle(f"{name}.inner",
-                                               sec.take("inner", dict)))
-        elif kind == "subsample":
-            model = Subsample(sec.take("batch_size", int))
+    if kind not in NOISE_MODELS:
+        raise ConfigurationError(
+            f"{name}.kind: unknown oracle {kind!r}; choose from "
+            f"{tuple(NOISE_MODELS)}")
+    values = {}
+    for f in fields(NOISE_MODELS[kind]):
+        where = f"{name}.{f.name}"
+        if f.type is NoiseModel:
+            values[f.name] = _parse_oracle(where, sec.take(f.name, dict))
+        elif f.type is np.ndarray:
+            values[f.name] = np.array(_floats(where, sec.take(f.name, list)))
         else:
-            raise ConfigurationError(f"{name}.kind: unknown oracle {kind!r}")
+            values[f.name] = sec.take(f.name, f.type)
+    try:
+        model = NOISE_MODELS[kind](**values)
     except ValueError as exc:
         raise ConfigurationError(f"{name}: {exc}") from exc
     sec.finish()
@@ -121,7 +114,7 @@ class ExperimentConfig:
     dim: int
     problem_seed: int
     bounds_override: Optional[tuple]
-    oracle: object
+    oracle: NoiseModel
     curvature: CurvatureSpec
     solver: SolverParams
     horizon: int
@@ -335,6 +328,29 @@ class DeterministicBoundReport:
     constants: Optional[ConstantsReport]
 
 
+def theory_constants(problem: TestProblem, params: SolverParams,
+                     kappa_b: float) -> ConstantsReport:
+    """The complexity constants of ``problem`` with zero directional error.
+
+    They need a certified Lipschitz constant and a positive starting gap
+    f(x_0) - f_low; a ConfigurationError names the hypothesis that fails.
+    """
+    obj = problem.objective
+    if obj.lipschitz is None:
+        raise ConfigurationError(f"{problem.name} has no certified Lipschitz "
+                                 "constant; the complexity constants need one")
+    x0 = SolverState.initial(problem.x_ini, problem.box, params).x
+    gamma0 = obj.f(x0) - obj.f_low
+    if not gamma0 > 0.0:
+        raise ConfigurationError("the complexity constants need a positive "
+                                 f"starting gap; f(x0) - f_low = {gamma0}")
+    return compute_constants(
+        sigma=params.sigma, tau=params.tau, kappa_s=params.kappa_s,
+        kappa_b=kappa_b, kappa_gg=0.0, lipschitz=obj.lipschitz,
+        gamma0=gamma0, dim=problem.box.n,
+    )
+
+
 def verify_deterministic_bound(problem: TestProblem, params: SolverParams,
                                horizon: int,
                                curvature: CurvatureSpec = CurvatureSpec("zero"),
@@ -346,12 +362,6 @@ def verify_deterministic_bound(problem: TestProblem, params: SolverParams,
     non-critical-start hypothesis sigma < ||d_0||^2 fails, reports
     inapplicability instead of asserting.
     """
-    obj = problem.objective
-    if obj.lipschitz is None:
-        raise ConfigurationError(
-            "verify_deterministic_bound needs a problem with a known "
-            "Lipschitz constant"
-        )
     result = run(problem, Exact(), curvature, params, horizon=horizon,
                  base_seed=0, diagnostics=True)
     d0_sq = float(result.norm_d[0] ** 2)
@@ -362,23 +372,9 @@ def verify_deterministic_bound(problem: TestProblem, params: SolverParams,
             kappa_conv=math.nan, max_ratio=math.nan, holds=False,
             norm_d0_sq=d0_sq, constants=None,
         )
-    state0 = SolverState.initial(problem.x_ini, problem.box, params)
-    gamma0 = obj.f(state0.x) - obj.f_low
-    if gamma0 <= 0.0:
-        return DeterministicBoundReport(
-            applicable=False,
-            reason=f"starting gap f(x0) - f_low = {gamma0} is not positive",
-            kappa_conv=math.nan, max_ratio=math.nan, holds=False,
-            norm_d0_sq=d0_sq, constants=None,
-        )
-    constants = compute_constants(
-        sigma=params.sigma, tau=params.tau, kappa_s=params.kappa_s,
-        kappa_b=curvature.kappa_b, kappa_gg=0.0, lipschitz=obj.lipschitz,
-        gamma0=gamma0, dim=problem.box.n,
-    )
+    constants = theory_constants(problem, params, curvature.kappa_b)
     bound = constants.kappa_conv_exact / np.sqrt(np.arange(1, horizon + 1))
-    ratios = result.run_avg_xi / bound
-    max_ratio = float(ratios.max())
+    max_ratio = float((result.run_avg_xi / bound).max())
     return DeterministicBoundReport(
         applicable=True, reason="", kappa_conv=constants.kappa_conv_exact,
         max_ratio=max_ratio, holds=bool(max_ratio <= 1.0 + rel_slack),

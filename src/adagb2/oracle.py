@@ -6,7 +6,6 @@ counter, so identical (seed, replication, iteration) triples give
 bit-identical draws regardless of execution order.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,13 +15,45 @@ from .errors import ConfigurationError
 from .problem import Objective
 
 
+class NoiseModel:
+    """A gradient oracle; ``kind`` names it in configs, its fields are keys.
+
+    ``sample`` returns the estimates at the rows of ``x`` (R, n), row r
+    drawing from ``rngs[r]`` as a lone n-vector would, in the same order,
+    so a row's estimate does not depend on the other rows.  It reads the
+    true gradients ``g_true`` only if ``needs_true``.  ``validate`` raises
+    ConfigurationError if the model cannot be used with the objective in
+    dimension n.
+    """
+
+    kind: str
+    needs_true = True
+
+    def sample(self, obj: Objective, x, rngs, g_true):
+        raise NotImplementedError
+
+    def validate(self, obj: Objective, n: int) -> None:
+        pass
+
+
+def _normals(rngs, n):
+    """One standard normal n-vector from each generator, stacked as rows."""
+    z = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return z
+
+
 @dataclass(frozen=True)
-class Exact:
+class Exact(NoiseModel):
     kind = "exact"
 
+    def sample(self, obj, x, rngs, g_true):
+        return g_true.copy()
+
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(NoiseModel):
     """g = G + sigma * z with z a standard normal vector."""
 
     sigma: float
@@ -32,9 +63,12 @@ class Gaussian:
         if not self.sigma >= 0:  # NaN fails too
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
+    def sample(self, obj, x, rngs, g_true):
+        return g_true + self.sigma * _normals(rngs, x.shape[1])
+
 
 @dataclass(frozen=True)
-class BoundedUniform:
+class BoundedUniform(NoiseModel):
     """g = G + u with u uniform in the ball of the given radius."""
 
     radius: float
@@ -44,9 +78,21 @@ class BoundedUniform:
         if not self.radius >= 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 
+    def sample(self, obj, x, rngs, g_true):
+        n = x.shape[1]
+        z = np.empty_like(x)
+        u = np.empty(len(rngs))
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=z[r])
+            u[r] = rng.random() ** (1.0 / n)
+        nz = np.sqrt(np.vecdot(z, z))[:, None]  # np.linalg.norm of each row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = g_true + (self.radius * u)[:, None] * z / nz
+        return np.where(nz == 0.0, g_true, g)
+
 
 @dataclass(frozen=True)
-class AffineGaussian:
+class AffineGaussian(NoiseModel):
     """Gaussian noise with total variance kappa1 + kappa2 * ||G||^2."""
 
     kappa1: float
@@ -57,13 +103,18 @@ class AffineGaussian:
         if not (self.kappa1 >= 0 and self.kappa2 >= 0):
             raise ValueError("kappa1 and kappa2 must be >= 0")
 
+    def sample(self, obj, x, rngs, g_true):
+        n = x.shape[1]
+        total = self.kappa1 + self.kappa2 * np.vecdot(g_true, g_true)
+        return g_true + np.sqrt(total / n)[:, None] * _normals(rngs, n)
+
 
 @dataclass(frozen=True)
-class ConstantBias:
+class ConstantBias(NoiseModel):
     """Inner draw shifted by a fixed bias vector (a biased oracle)."""
 
     bias: np.ndarray
-    inner: "NoiseModel"
+    inner: NoiseModel
     kind = "constant_bias"
 
     def __post_init__(self):
@@ -73,36 +124,75 @@ class ConstantBias:
         if np.isnan(self.bias).any():
             raise ValueError(f"bias must not be NaN, got {self.bias}")
 
+    @property
+    def needs_true(self):
+        return self.inner.needs_true
+
+    def sample(self, obj, x, rngs, g_true):
+        return self.inner.sample(obj, x, rngs, g_true) + self.bias
+
+    def validate(self, obj, n):
+        if self.bias.shape != (n,):
+            raise ConfigurationError(
+                f"constant_bias: bias shape {self.bias.shape} does not match "
+                f"the problem dimension {n}"
+            )
+        self.inner.validate(obj, n)
+
 
 @dataclass(frozen=True)
-class RelativeBias:
+class RelativeBias(NoiseModel):
     """Inner draw shifted by rho * G: bias proportional to the true gradient."""
 
     rho: float
-    inner: "NoiseModel"
+    inner: NoiseModel
     kind = "relative_bias"
 
     def __post_init__(self):
-        if math.isnan(self.rho):
+        if np.isnan(self.rho):
             raise ValueError("rho must not be NaN")
+
+    def sample(self, obj, x, rngs, g_true):
+        return self.inner.sample(obj, x, rngs, g_true) + self.rho * g_true
+
+    def validate(self, obj, n):
+        self.inner.validate(obj, n)
 
 
 @dataclass(frozen=True)
-class Subsample:
+class Subsample(NoiseModel):
     """Mean gradient over a uniformly sampled batch of a finite sum."""
 
     batch_size: int
     kind = "subsample"
+    needs_true = False
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
+    def sample(self, obj, x, rngs, g_true):
+        return np.stack([
+            obj.term_grad(row, rng.choice(obj.num_terms, size=self.batch_size,
+                                          replace=False))
+            for row, rng in zip(x, rngs)
+        ])
 
-NoiseModel = (
-    Exact | Gaussian | BoundedUniform | AffineGaussian | ConstantBias
-    | RelativeBias | Subsample
-)
+    def validate(self, obj, n):
+        if obj.num_terms is None or obj.term_grad is None:
+            raise ConfigurationError(
+                "subsample oracle requires a finite-sum objective"
+            )
+        if self.batch_size > obj.num_terms:
+            raise ConfigurationError(
+                f"batch_size {self.batch_size} exceeds {obj.num_terms} terms"
+            )
+
+
+# Every noise model by the kind that names it in configs.
+NOISE_MODELS = {cls.kind: cls for cls in (
+    Exact, Gaussian, BoundedUniform, AffineGaussian, ConstantBias,
+    RelativeBias, Subsample)}
 
 
 @dataclass(frozen=True)
@@ -149,78 +239,7 @@ class OracleStream:
         return self._shared_gen
 
 
-def _needs_true_gradient(model) -> bool:
-    if isinstance(model, (ConstantBias, RelativeBias)):
-        return isinstance(model, RelativeBias) or _needs_true_gradient(model.inner)
-    return not isinstance(model, Subsample)
-
-
-def _normals(rngs, n):
-    """One standard normal n-vector from each generator, stacked as rows."""
-    z = np.empty((len(rngs), n))
-    for rng, row in zip(rngs, z):
-        rng.standard_normal(out=row)
-    return z
-
-
-def _sample(obj, x, model, rngs, g_true):
-    """Gradient estimates at the rows of ``x`` (R, n); row r draws from rngs[r].
-
-    Each row makes the draws of a lone n-vector, in the same order, so a
-    row's estimate does not depend on the other rows.
-    """
-    if isinstance(model, Exact):
-        return g_true.copy()
-    if isinstance(model, Gaussian):
-        return g_true + model.sigma * _normals(rngs, x.shape[1])
-    if isinstance(model, BoundedUniform):
-        n = x.shape[1]
-        z = np.empty_like(x)
-        u = np.empty(len(rngs))
-        for r, rng in enumerate(rngs):
-            rng.standard_normal(out=z[r])
-            u[r] = rng.random() ** (1.0 / n)
-        nz = np.sqrt(np.vecdot(z, z))[:, None]  # np.linalg.norm of each row
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = g_true + (model.radius * u)[:, None] * z / nz
-        return np.where(nz == 0.0, g_true, g)
-    if isinstance(model, AffineGaussian):
-        n = x.shape[1]
-        total = model.kappa1 + model.kappa2 * np.vecdot(g_true, g_true)
-        return g_true + np.sqrt(total / n)[:, None] * _normals(rngs, n)
-    if isinstance(model, ConstantBias):
-        if model.bias.shape != x.shape[1:]:
-            raise ValueError(
-                f"bias dimension {model.bias.shape} does not match x {x.shape[1:]}"
-            )
-        return _sample(obj, x, model.inner, rngs, g_true) + model.bias
-    if isinstance(model, RelativeBias):
-        return _sample(obj, x, model.inner, rngs, g_true) + model.rho * g_true
-    if isinstance(model, Subsample):
-        return np.stack([
-            obj.term_grad(row, rng.choice(obj.num_terms, size=model.batch_size,
-                                          replace=False))
-            for row, rng in zip(x, rngs)
-        ])
-    raise TypeError(f"unknown noise model {model!r}")
-
-
-def validate_model(model, obj: Objective) -> None:
-    """Raise ConfigurationError if the model cannot be used with the objective."""
-    if isinstance(model, Subsample):
-        if obj.num_terms is None or obj.term_grad is None:
-            raise ConfigurationError(
-                "subsample oracle requires a finite-sum objective"
-            )
-        if model.batch_size > obj.num_terms:
-            raise ConfigurationError(
-                f"batch_size {model.batch_size} exceeds {obj.num_terms} terms"
-            )
-    if isinstance(model, (ConstantBias, RelativeBias)):
-        validate_model(model.inner, obj)
-
-
-def draw(obj: Objective, x, model, rngs,
+def draw(obj: Objective, x, model: NoiseModel, rngs,
          with_true: bool = True) -> OracleDraw:
     """One gradient estimate g(x, xi) per row of ``x`` (R, n).
 
@@ -229,13 +248,13 @@ def draw(obj: Objective, x, model, rngs,
     as one row.  The objective's ``grad`` is called once on all rows.
     ``with_true=False`` skips the true-gradient diagnostic when the model
     itself does not need G (only possible for pure subsampling).  The
-    model is not validated here: callers run ``validate_model`` once,
+    model is not validated here: callers run ``model.validate`` once,
     before their draws.
     """
     x = np.asarray(x, dtype=np.float64)
-    need_true = with_true or _needs_true_gradient(model)
+    need_true = with_true or model.needs_true
     g_true = obj.grad(x) if need_true else None
-    g = _sample(obj, x, model, rngs, g_true)
+    g = model.sample(obj, x, rngs, g_true)
     return OracleDraw(g, g_true if with_true else None)
 
 
@@ -244,14 +263,14 @@ def empirical_rmse(obj: Objective, x, model, draws: int, seed: int) -> float:
     if draws < 1:
         raise ValueError("draws must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    validate_model(model, obj)
+    model.validate(obj, x.shape[-1])
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x535E)))
     g_true = obj.grad(x)
     # One call for all draws: the one generator, repeated per row, makes
     # the draws a loop of single draws would make, in the same order.
     # np.tile, not a broadcast view: the samplers write into arrays made
     # like x, which must be contiguous.
-    g = _sample(obj, np.tile(x, (draws, 1)), model, [rng] * draws,
-                np.tile(g_true, (draws, 1)))
+    g = model.sample(obj, np.tile(x, (draws, 1)), [rng] * draws,
+                     np.tile(g_true, (draws, 1)))
     errs = g - g_true
     return float(np.sqrt(np.mean(np.sum(errs * errs, axis=1))))

@@ -31,10 +31,10 @@ from . import _kernels
 from .curvature import CurvatureSpec, make_provider
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, project_box
-from .oracle import OracleStream, draw, validate_model
+from .oracle import NoiseModel, OracleStream, draw
 from .problem import TestProblem
 
-STEP_MODES = ("cauchy", "first_order", "sign_adagrad")
+STEP_MODES = ("cauchy", "sign_adagrad")
 
 MONITORS = (
     "feasible",
@@ -47,6 +47,9 @@ MONITORS = (
     "curvature_bound",
     "xi_triangle",  # last: only checked with diagnostics
 )
+
+# Floating-point slack of the monitors, relative to the magnitudes compared.
+SLACK = 1e-10
 
 BLOCK = 256  # most iterations recorded before their monitors are checked
 BLOCK_BYTES = 256 * 1024  # the recorded vectors of a block fit in this
@@ -87,24 +90,23 @@ class SolverState:
         return cls(x=x0, w=np.full(box.n, params.sigma), k=0)
 
 
-def _vector_checks(x, x_raw, s, delta, box: BoundBox, kappa_s, slack):
+def _vector_checks(x, x_raw, s, delta, box: BoundBox, kappa_s):
     """The feasible and step_bound monitors over the last axis of x + s."""
-    tol = slack * (1.0 + np.abs(x))
+    tol = SLACK * (1.0 + np.abs(x))
     inside = (x_raw >= box.lower - tol) & (x_raw <= box.upper + tol)
     return (inside.all(axis=-1),
             (np.abs(s) <= kappa_s * delta + tol).all(axis=-1))
 
 
-def _tol(slack, *values):
-    """slack times the largest of 1 and each |v|; np.fmax skips a NaN v."""
+def _tol(*values):
+    """SLACK times the largest of 1 and each |v|; np.fmax skips a NaN v."""
     m = 1.0
     for v in values:
         m = np.fmax(m, np.abs(v))
-    return slack * m
+    return SLACK * m
 
 
-def _monitor_checks(inputs, feasible, step_bound, gamma, xi, kappa_b, params,
-                    slack):
+def _monitor_checks(inputs, feasible, step_bound, gamma, xi, kappa_b, params):
     """The monitors in ``MONITORS`` order, elementwise over any shape.
 
     ``inputs`` is (g.s_L, g.s, g.s_Q, s_L^T B s_L, s^T B s, sum d^2/w,
@@ -119,21 +121,21 @@ def _monitor_checks(inputs, feasible, step_bound, gamma, xi, kappa_b, params,
     checks = [
         feasible,
         step_bound,
-        g_sl <= -sigma * sum_d2_w + _tol(slack, g_sl, sum_d2_w),
-        np.abs(g_sl) >= sigma * norm_sl_sq - _tol(slack, g_sl, norm_sl_sq),
+        g_sl <= -sigma * sum_d2_w + _tol(g_sl, sum_d2_w),
+        np.abs(g_sl) >= sigma * norm_sl_sq - _tol(g_sl, norm_sl_sq),
         model_q <= -(sigma**2 / (2.0 * kappa_b)) * sum_d2_w
-        + _tol(slack, model_q, sum_d2_w),
-        model_s <= tau * model_q + _tol(slack, model_s, model_q),
+        + _tol(model_q, sum_d2_w),
+        model_s <= tau * model_q + _tol(model_s, model_q),
         g_s <= -(tau * sigma**2 / (2.0 * kappa_b)) * sum_d2_w
         + 0.5 * kappa_s**2 * kappa_b * norm_delta_sq
-        + _tol(slack, g_s, sum_d2_w, norm_delta_sq),
+        + _tol(g_s, sum_d2_w, norm_delta_sq),
         # kappa_b >= 1, so leaving norm_sl_sq out of the slack's scale
         # changes no outcome.
-        np.abs(qf_sl) <= kappa_b * norm_sl_sq + _tol(slack, qf_sl),
+        np.abs(qf_sl) <= kappa_b * norm_sl_sq + _tol(qf_sl),
     ]
     if xi is not None:
         norm_xi, norm_d, err = xi
-        checks.append(norm_xi <= norm_d + err + _tol(slack, norm_xi, norm_d))
+        checks.append(norm_xi <= norm_d + err + _tol(norm_xi, norm_d))
     return checks
 
 
@@ -159,12 +161,9 @@ def step(x, w, oracle_draw, provider, box: BoundBox, params: SolverParams,
     np.divide(-g_sl, qf_sl, out=gamma, where=qf_sl > 0.0)
     np.fmin(gamma, 1.0, out=gamma)
 
-    mode = params.step_mode
-    if mode == "cauchy":
+    if params.step_mode == "cauchy":
         np.multiply(gamma[:, None], s_l, out=s)
-    elif mode == "first_order":
-        s[...] = s_l
-    else:
+    else:  # sign_adagrad
         np.multiply(-np.sign(g), delta, out=s)
         np.clip(s, box.lower - x, box.upper - x, out=s)
         # With B = 0 the model decrease condition reads g^T s <= tau g^T s_q;
@@ -234,8 +233,7 @@ class _Histories:
     recorded vectors within ``BLOCK_BYTES`` and at most ``BLOCK``.
     """
 
-    def __init__(self, reps, n, horizon, diagnostics, box, kappa_b, params,
-                 slack):
+    def __init__(self, reps, n, horizon, diagnostics, box, kappa_b, params):
         shape = (reps, horizon)
         for name in HISTORIES:  # NaN stays where a diagnostic is not computed
             setattr(self, name, np.zeros(shape, np.int64)
@@ -248,23 +246,18 @@ class _Histories:
                       for j in range(self.length)]
         self.checked = MONITORS if diagnostics else MONITORS[:-1]
         self.failed = np.zeros((reps, len(self.checked)), dtype=np.int64)
-        self._box, self._limits = box, (kappa_b, params, slack)
+        self._box, self._limits = box, (kappa_b, params)
 
     def check(self, k0, m):
         """Iterations k0 to k0 + m - 1, recorded in slots 0 to m - 1."""
-        kappa_b, params, slack = self._limits
+        kappa_b, params = self._limits
         box = self._box
         g_sl, qf_sl, gamma = self.scalars[:, :m]  # (m, R)
         x, g, d, w, delta, s_l, s, x_raw, *g_true = self.vectors[:, :m]
-        g_s = np.vecdot(g, s)
-        mode = params.step_mode
-        if mode == "cauchy":
-            qf_s = gamma * gamma * qf_sl
-        elif mode == "first_order":
-            qf_s = qf_sl
-        else:
-            qf_s = np.zeros_like(qf_sl)  # sign_adagrad runs with B = 0
-        inputs = (g_sl, g_s, np.vecdot(g, gamma[..., None] * s_l), qf_sl, qf_s,
+        # s^T B s = gamma^2 s_L^T B s_L: s = gamma s_L for cauchy, and
+        # sign_adagrad runs with B = 0, where s_L^T B s_L = +0.0 and gamma = 1.
+        inputs = (g_sl, np.vecdot(g, s), np.vecdot(g, gamma[..., None] * s_l),
+                  qf_sl, gamma * gamma * qf_sl,
                   (d * d / w).sum(axis=-1), np.vecdot(s_l, s_l),
                   np.vecdot(delta, delta))
         norm_d = np.sqrt(np.vecdot(d, d))
@@ -283,9 +276,8 @@ class _Histories:
             self.dir_err[block] = np.abs(np.vecdot(g_true - g, s)).T
             xi = norm_xi, norm_d, err
         bad = ~np.stack(_monitor_checks(
-            inputs, *_vector_checks(x, x_raw, s, delta, box, params.kappa_s,
-                                    slack),
-            gamma, xi, kappa_b, params, slack), axis=-1)  # (m, R, monitors)
+            inputs, *_vector_checks(x, x_raw, s, delta, box, params.kappa_s),
+            gamma, xi, kappa_b, params), axis=-1)  # (m, R, monitors)
         self.failed += bad.sum(axis=0)
         self.violation_count[block] = bad.sum(axis=-1).T
 
@@ -299,10 +291,10 @@ class _Histories:
             **{name: getattr(self, name)[r] for name in HISTORIES})
 
 
-def run(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
-        params: SolverParams, horizon: int, base_seed: int,
-        replication: int = 0, diagnostics: bool = True,
-        slack: float = 1e-10) -> RunResult:
+def run(problem: TestProblem, oracle_model: NoiseModel,
+        curvature_spec: CurvatureSpec, params: SolverParams, horizon: int,
+        base_seed: int, replication: int = 0,
+        diagnostics: bool = True) -> RunResult:
     """Run one replication for a fixed horizon (no stopping test).
 
     The iterate sequence is fully determined by (base_seed, replication):
@@ -310,7 +302,7 @@ def run(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
     ``run_batch`` with the one row.
     """
     return run_batch(problem, oracle_model, curvature_spec, params, horizon,
-                     base_seed, [replication], diagnostics, slack)[0]
+                     base_seed, [replication], diagnostics)[0]
 
 
 def _non_finite(ok, what, values, k, replications):
@@ -319,10 +311,11 @@ def _non_finite(ok, what, values, k, replications):
                          f"(replication {replications[r]})")
 
 
-def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
-              params: SolverParams, horizon: int, base_seed: int,
+def run_batch(problem: TestProblem, oracle_model: NoiseModel,
+              curvature_spec: CurvatureSpec, params: SolverParams,
+              horizon: int, base_seed: int,
               replications: Union[int, Sequence[int]],
-              diagnostics: bool = True, slack: float = 1e-10) -> list:
+              diagnostics: bool = True) -> list:
     """Run replications side by side; one ``RunResult`` for each.
 
     ``replications`` is a count (indices 0 to R-1) or the replication
@@ -341,7 +334,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     obj = problem.objective
-    validate_model(oracle_model, obj)
+    oracle_model.validate(obj, problem.box.n)
     if params.step_mode == "sign_adagrad" and curvature_spec.kind != "zero":
         raise ConfigurationError("sign_adagrad mode requires the zero provider")
     provider = make_provider(curvature_spec, obj)
@@ -351,7 +344,7 @@ def run_batch(problem: TestProblem, oracle_model, curvature_spec: CurvatureSpec,
     x = np.tile(SolverState.initial(problem.x_ini, box, params).x, (reps, 1))
     w = np.full((reps, box.n), params.sigma)
     hist = _Histories(reps, box.n, horizon, diagnostics, box,
-                      provider.kappa_b, params, slack)
+                      provider.kappa_b, params)
     x_prev = g_prev = None
 
     for k in range(horizon):

@@ -101,7 +101,7 @@ def test_batch_matches_serial(oracle, curvature, diagnostics, tmp_path):
 
 @pytest.mark.parametrize("diagnostics", (True, False))
 @pytest.mark.parametrize("oracle", ("gaussian", "subsample"))
-@pytest.mark.parametrize("step_mode", ("first_order", "sign_adagrad"))
+@pytest.mark.parametrize("step_mode", ("sign_adagrad",))
 def test_batch_matches_serial_step_modes(step_mode, oracle, diagnostics,
                                          tmp_path):
     _check_rows_match_lone_runs(
@@ -199,8 +199,6 @@ def _reference(problem, oracle, spec, params, horizon, base_seed,
         s_q = gamma * s_l
         if params.step_mode == "cauchy":
             s = s_q
-        elif params.step_mode == "first_order":
-            s = s_l
         else:
             s = np.clip(-np.sign(g) * delta, lower - x, upper - x)
             if float(g @ s) > params.tau * float(g @ s_q):
@@ -232,7 +230,6 @@ def _assert_matches_reference(res, ref):
 @pytest.mark.parametrize("diagnostics", (True, False))
 @pytest.mark.parametrize("step_mode, curvature", [
     *(("cauchy", c) for c in CURVATURES),
-    *(("first_order", c) for c in CURVATURES),
     ("sign_adagrad", "zero"),
 ])
 def test_run_matches_reference(step_mode, curvature, diagnostics):

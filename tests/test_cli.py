@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from adagb2 import solver
 from adagb2.cli import cli_main
 
 CONFIG = {
@@ -97,6 +98,62 @@ def test_mc_epsilon_without_diagnostics_is_usage_error(config_path, capsys):
     assert code == 2
     assert "--epsilon needs diagnostics" in captured.err
     assert "empirical=" not in captured.out
+
+
+def _write(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_mc_epsilon_needs_a_lipschitz_constant(tmp_path, capsys):
+    # Rosenbrock has no certified Lipschitz constant: no probability
+    # report, and nothing is run.
+    path = _write(tmp_path, {**CONFIG, "problem": {"name": "boxed_rosenbrock",
+                                                   "dim": 2}})
+    out_dir = tmp_path / "out"
+    code = cli_main(["mc", "--config", path, "--out", str(out_dir),
+                     "--epsilon", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "Lipschitz" in captured.err
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_first_order_step_mode_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, {**CONFIG, "solver": {"step_mode": "first_order"}})
+    assert cli_main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver: unknown step_mode 'first_order'")
+    assert "('cauchy', 'sign_adagrad')" in err
+
+
+def test_wrong_bias_length_exits_before_the_first_iteration(tmp_path, capsys,
+                                                             monkeypatch):
+    draws = []
+    monkeypatch.setattr(solver, "draw", lambda *a, **k: draws.append(a))
+    path = _write(tmp_path, {**CONFIG, "oracle": {
+        "kind": "constant_bias", "bias": [0.1, 0.2],
+        "inner": {"kind": "gaussian", "sigma": 0.1}}})
+    assert cli_main(["mc", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: constant_bias: bias shape (2,)")
+    assert "dimension 3" in err and not draws
+
+
+@pytest.mark.parametrize("oracle, message", [
+    ({"kind": "gaussian"}, "oracle.sigma: required"),
+    ({"kind": "gaussian", "sigma": 0.1, "radius": 1.0},
+     "oracle: unknown keys: radius"),
+    ({"kind": "relative_bias", "rho": 0.1, "inner": {"kind": "subsample"}},
+     "oracle.inner.batch_size: required"),
+    ({"kind": "laplace"}, "oracle.kind: unknown oracle 'laplace'"),
+])
+def test_bad_oracle_fields_are_usage_errors(tmp_path, capsys, oracle,
+                                            message):
+    path = _write(tmp_path, {**CONFIG, "oracle": oracle})
+    assert cli_main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_missing_config_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from adagb2.curvature import CurvatureSpec
 from adagb2.errors import ConfigurationError
 from adagb2.harness import (Aggregate, ExperimentConfig, aggregate_results,
                             fit_rate, markov_complexity_report, run_experiment,
-                            verify_deterministic_bound, write_aggregate_csv,
-                            write_experiment_outputs, write_traces_csv)
-from adagb2.oracle import ConstantBias, Gaussian
+                            theory_constants, verify_deterministic_bound,
+                            write_aggregate_csv, write_experiment_outputs,
+                            write_traces_csv)
+from adagb2.oracle import (NOISE_MODELS, AffineGaussian, BoundedUniform,
+                           ConstantBias, Exact, Gaussian, NoiseModel,
+                           RelativeBias, Subsample)
 from adagb2.problem import make_test_problem
 from adagb2.solver import SolverParams, run
 
@@ -123,6 +127,69 @@ def test_config_nested_oracle():
             "kind": "constant_bias", "bias": [0.0] * 4,
             "inner": {"kind": "gaussian", "sigma": 0.1}, "extra": 1,
         }))
+
+
+# A config of every noise-model kind and the model it must parse to; the
+# bias wrappers nest each other.
+ORACLE_CASES = {
+    "exact": ({"kind": "exact"}, Exact()),
+    "gaussian": ({"kind": "gaussian", "sigma": 0.1}, Gaussian(0.1)),
+    "bounded_uniform": ({"kind": "bounded_uniform", "radius": 2},
+                        BoundedUniform(2.0)),
+    "affine_gaussian": ({"kind": "affine_gaussian", "kappa1": 0.01,
+                         "kappa2": 0.5}, AffineGaussian(0.01, 0.5)),
+    "constant_bias": (
+        {"kind": "constant_bias", "bias": [0.05, 0, -1e-3, 2],
+         "inner": {"kind": "relative_bias", "rho": -0.2,
+                   "inner": {"kind": "gaussian", "sigma": 0.1}}},
+        ConstantBias(np.array([0.05, 0.0, -1e-3, 2.0]),
+                     RelativeBias(-0.2, Gaussian(0.1)))),
+    "relative_bias": (
+        {"kind": "relative_bias", "rho": 0.3,
+         "inner": {"kind": "constant_bias", "bias": [1, 2, 3, 4],
+                   "inner": {"kind": "subsample", "batch_size": 3}}},
+        RelativeBias(0.3, ConstantBias(np.arange(1.0, 5.0), Subsample(3)))),
+    "subsample": ({"kind": "subsample", "batch_size": 5}, Subsample(5)),
+}
+
+
+def _assert_same_model(a, b):
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        elif isinstance(y, NoiseModel):
+            _assert_same_model(x, y)
+        else:
+            assert type(x) is type(y) and x == y
+
+
+@pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
+def test_parse_every_oracle_kind(kind):
+    config, model = ORACLE_CASES[kind]
+    data = json.loads(json.dumps(config))  # a copy to take keys out of
+    _assert_same_model(ExperimentConfig.from_dict(_config(oracle=data)).oracle,
+                       model)
+    # Every field is required, and no other key is taken, at every depth.
+    inner = data
+    where = "oracle"
+    while True:
+        for name in list(inner):
+            if name != "kind":
+                value = inner.pop(name)
+                with pytest.raises(ConfigurationError,
+                                   match=rf"^{where}\.{name}: required"):
+                    ExperimentConfig.from_dict(_config(oracle=data))
+                inner[name] = value
+        inner["extra"] = 1
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{where}: unknown keys: extra"):
+            ExperimentConfig.from_dict(_config(oracle=data))
+        del inner["extra"]
+        if "inner" not in inner:
+            break
+        inner, where = inner["inner"], where + ".inner"
 
 
 def test_config_file_errors(tmp_path):
@@ -244,6 +311,23 @@ def test_deterministic_bound_inapplicable_near_critical_start():
     report = verify_deterministic_bound(near, SolverParams(sigma=0.5), 10)
     assert not report.applicable
     assert "d_0" in report.reason
+
+
+def test_theory_constants_need_their_hypotheses():
+    params = SolverParams()
+    rosenbrock = make_test_problem("boxed_rosenbrock", 2, 0)
+    with pytest.raises(ConfigurationError, match="Lipschitz"):
+        theory_constants(rosenbrock, params, 1.0)
+    prob = make_test_problem("boxed_quadratic", 2, 0)
+    x_star = np.clip(1.0 / np.linspace(1, 4, 2), 0.0, 1.0)
+    from adagb2.problem import TestProblem as BoxProblem
+
+    at_minimum = BoxProblem("at_minimum", prob.objective, prob.box, x_star)
+    with pytest.raises(ConfigurationError, match="positive starting gap"):
+        theory_constants(at_minimum, params, 1.0)
+    constants = theory_constants(prob, params, 2.0)
+    assert constants.kappa_gg == 0.0 and constants.kappa_b == 2.0
+    assert constants.lipschitz == prob.objective.lipschitz
 
 
 def test_markov_report():

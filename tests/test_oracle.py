@@ -4,7 +4,7 @@ import pytest
 from adagb2.errors import ConfigurationError
 from adagb2.oracle import (AffineGaussian, BoundedUniform, ConstantBias,
                            Exact, Gaussian, OracleStream, RelativeBias,
-                           Subsample, draw, empirical_rmse, validate_model)
+                           Subsample, draw, empirical_rmse)
 from adagb2.problem import make_test_problem
 
 PROB = make_test_problem("boxed_quadratic", 6, 0)
@@ -127,10 +127,14 @@ def test_subsample_mean_is_unbiased():
 
 def test_subsample_requires_finite_sum():
     with pytest.raises(ConfigurationError):
-        validate_model(Subsample(4), OBJ)
+        Subsample(4).validate(OBJ, 6)
     prob = make_test_problem("finite_sum_logistic", 3, 0)
     with pytest.raises(ConfigurationError):
-        validate_model(Subsample(10**6), prob.objective)
+        Subsample(10**6).validate(prob.objective, 3)
+    # A wrapper validates its inner model.
+    with pytest.raises(ConfigurationError):
+        RelativeBias(0.1, ConstantBias(np.ones(6), Subsample(4))).validate(
+            OBJ, 6)
 
 
 def test_model_validation():
@@ -146,8 +150,11 @@ def test_model_validation():
 
 def test_constant_bias_dimension_mismatch():
     model = ConstantBias(np.ones(3), Exact())
-    with pytest.raises(ValueError):
-        _one(OBJ, np.full(6, 0.5), model, OracleStream(0, 0).rng(0))
+    model.validate(OBJ, 3)
+    with pytest.raises(ConfigurationError, match="dimension 6"):
+        model.validate(OBJ, 6)
+    with pytest.raises(ConfigurationError, match="dimension 6"):
+        empirical_rmse(OBJ, np.full(6, 0.5), model, 10, 0)
 
 
 def test_empirical_rmse_exact_is_zero():

@@ -28,6 +28,9 @@ def test_params_validation():
         SolverParams(kappa_s=0.5)
     with pytest.raises(ValueError):
         SolverParams(step_mode="newton")
+    # The first-order method is the zero-curvature case of cauchy.
+    with pytest.raises(ValueError, match="'cauchy', 'sign_adagrad'"):
+        SolverParams(step_mode="first_order")
 
 
 def test_initial_state_projects_and_seeds_weights():
@@ -41,7 +44,7 @@ def test_initial_state_projects_and_seeds_weights():
 
 def test_weight_recurrence_hand_check():
     # One unconstrained coordinate: d = -g, w_k = sqrt(w_{k-1}^2 + g^2).
-    params = SolverParams(sigma=0.5, step_mode="first_order")
+    params = SolverParams(sigma=0.5)  # cauchy, with B = 0: s = s_L
     prob = _constant_gradient([2.0], BoundBox.unbounded(1), np.zeros(1))
     args = (prob, Exact(), CurvatureSpec("zero"), params)
     res = run(*args, 1, base_seed=0)
@@ -84,13 +87,14 @@ def test_step_monitors_all_pass_random_sweep():
 def test_gamma_is_one_for_zero_curvature():
     box = BoundBox(np.zeros(2), np.ones(2))
     prob = _constant_gradient([1.0, -1.0], box, np.full(2, 0.5))
-    args = (prob, Exact(), CurvatureSpec("zero"))
-    res = run(*args, SolverParams(), 5, base_seed=0)
+    res = run(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 5,
+              base_seed=0)
     assert (res.gamma == 1.0).all()
-    # s = s_L: the Cauchy step is the first-order one.
-    first = run(*args, SolverParams(step_mode="first_order"), 5, base_seed=0)
-    assert np.array_equal(res.final_state.x, first.final_state.x)
-    assert np.array_equal(res.step_sq, first.step_sq)
+    # s = s_L: the Cauchy step is the first-order one.  From the centre of
+    # the box, d = (-0.5, 0.5) lies inside the trust box (delta is about
+    # 0.9998), so the first step reaches the corner (0, 1), where d = 0.
+    assert np.array_equal(res.final_state.x, [0.0, 1.0])
+    assert res.step_sq.tolist() == [0.5, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_gamma_shrinks_with_strong_curvature():
@@ -253,7 +257,7 @@ def test_run_diagnostics_off_skips_true_gradient():
     assert np.isfinite(res.norm_d).all()
 
 
-def test_violations_name_every_monitor():
+def test_violations_name_every_monitor(monkeypatch):
     # Every result counts each monitor of MONITORS, in order.  At a slack of
     # -0.5 the exact oracle breaks the criticality triangle
     # ||Xi|| <= ||d|| + 0 on every step; it is only checked with
@@ -261,8 +265,9 @@ def test_violations_name_every_monitor():
     prob = make_test_problem("boxed_quadratic", 2, 0)
     args = (prob, Exact(), CurvatureSpec("zero"), SolverParams(), 30, 0)
     assert run(*args).total_violations == 0
-    with_true = run(*args, slack=-0.5)
-    without = run(*args, diagnostics=False, slack=-0.5)
+    monkeypatch.setattr(solver, "SLACK", -0.5)
+    with_true = run(*args)
+    without = run(*args, diagnostics=False)
     for res in (with_true, without):
         assert list(res.violations) == list(MONITORS)
     assert with_true.violations["xi_triangle"] == 30
