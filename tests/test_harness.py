@@ -165,6 +165,13 @@ def _assert_same_model(a, b):
             assert type(x) is type(y) and x == y
 
 
+def _sections(data, where="oracle"):
+    """Each oracle object of a config, the nested ones too, and its path."""
+    yield data, where
+    if "inner" in data:
+        yield from _sections(data["inner"], where + ".inner")
+
+
 @pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
 def test_parse_every_oracle_kind(kind):
     config, model = ORACLE_CASES[kind]
@@ -172,24 +179,18 @@ def test_parse_every_oracle_kind(kind):
     _assert_same_model(ExperimentConfig.from_dict(_config(oracle=data)).oracle,
                        model)
     # Every field is required, and no other key is taken, at every depth.
-    inner = data
-    where = "oracle"
-    while True:
-        for name in list(inner):
-            if name != "kind":
-                value = inner.pop(name)
-                with pytest.raises(ConfigurationError,
-                                   match=rf"^{where}\.{name}: required"):
-                    ExperimentConfig.from_dict(_config(oracle=data))
-                inner[name] = value
-        inner["extra"] = 1
+    for section, where in _sections(data):
+        for name in [key for key in section if key != "kind"]:
+            value = section.pop(name)
+            with pytest.raises(ConfigurationError,
+                               match=rf"^{where}\.{name}: required"):
+                ExperimentConfig.from_dict(_config(oracle=data))
+            section[name] = value
+        section["extra"] = 1
         with pytest.raises(ConfigurationError,
                            match=rf"^{where}: unknown keys: extra"):
             ExperimentConfig.from_dict(_config(oracle=data))
-        del inner["extra"]
-        if "inner" not in inner:
-            break
-        inner, where = inner["inner"], where + ".inner"
+        del section["extra"]
 
 
 def test_config_file_errors(tmp_path):
