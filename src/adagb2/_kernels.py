@@ -2,7 +2,9 @@
 
 Every function is componentwise, so the arguments may be (n,) vectors or
 any stacks (..., n) of rows, with the bounds as (n,) vectors broadcast
-over the rows (the engine passes (R, n) states).
+over the rows or tiled to the rows' shape.  The engine passes (R, n)
+states with tiled bounds: the same bits, and numpy runs same-shape
+operands faster than broadcast ones.
 """
 
 import numpy as np

@@ -64,16 +64,41 @@ class BoundBox:
         x = np.asarray(x, dtype=np.float64)
         return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
 
+    def tile(self, reps: int) -> "TiledBox":
+        """The same box for each row of a (reps, n) stack."""
+        return TiledBox(np.tile(self.lower, (reps, 1)),
+                        np.tile(self.upper, (reps, 1)))
 
-def project_box(y, box: BoundBox) -> np.ndarray:
+
+@dataclass(frozen=True)
+class TiledBox:
+    """A ``BoundBox`` whose bounds are repeated as (R, n) arrays.
+
+    Projecting an (R, n) stack onto it gives the bits of the (n,) box,
+    because every operation is elementwise, and costs less: numpy runs
+    same-shape operands faster than (n,) bounds broadcast over the rows.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.lower.shape[-1]
+
+
+def project_box(y, box: BoundBox, out=None) -> np.ndarray:
     """Project ``y`` onto the box: z_i = max(l_i, min(y_i, u_i)).
 
-    ``y`` is one point (n,) or any stack (..., n) of points.
+    ``y`` is one point (n,) or any stack (..., n) of points; ``box`` may be
+    a ``TiledBox`` of y's shape.  The result goes into ``out``, an array of
+    y's shape, if it is given.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape[-1] != box.n:
         raise ValueError(f"dimension mismatch: y has {y.shape[-1]}, box has {box.n}")
-    out = np.empty_like(y)
+    if out is None:
+        out = np.empty_like(y)
     _kernels.project_box(y, box.lower, box.upper, out)
     return out
 

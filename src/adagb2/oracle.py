@@ -19,11 +19,15 @@ class NoiseModel:
     """A gradient oracle; ``kind`` names it in configs, its fields are keys.
 
     ``sample`` returns the estimates at the rows of ``x`` (R, n), row r
-    drawing from ``rngs[r]`` as a lone n-vector would, in the same order,
-    so a row's estimate does not depend on the other rows.  It reads the
-    true gradients ``g_true`` only if ``needs_true``.  ``validate`` raises
-    ConfigurationError if the model cannot be used with the objective in
-    dimension n.
+    drawing from the r-th generator of ``rngs`` as a lone n-vector would,
+    in the same order, so a row's estimate does not depend on the other
+    rows.  ``rngs`` is an iterable of one generator per row, taken once
+    each, in row order, just before that row's sample; the row count comes
+    from ``x``.  It may be lazy (the engine resets each row's stream as it
+    is taken), so a model that draws no random numbers does not iterate
+    it: that would cost a reset per row.  ``sample`` reads the true gradients ``g_true`` only if
+    ``needs_true``.  ``validate`` raises ConfigurationError if the model
+    cannot be used with the objective in dimension n.
     """
 
     kind: str
@@ -36,10 +40,10 @@ class NoiseModel:
         pass
 
 
-def _normals(rngs, n):
-    """One standard normal n-vector from each generator, stacked as rows."""
-    z = np.empty((len(rngs), n))
-    for rng, row in zip(rngs, z):
+def _normals(rngs, shape):
+    """One standard normal row from each generator, stacked to ``shape``."""
+    z = np.empty(shape)
+    for row, rng in zip(z, rngs):
         rng.standard_normal(out=row)
     return z
 
@@ -64,7 +68,7 @@ class Gaussian(NoiseModel):
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
     def sample(self, obj, x, rngs, g_true):
-        return g_true + self.sigma * _normals(rngs, x.shape[1])
+        return g_true + self.sigma * _normals(rngs, x.shape)
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,8 @@ class BoundedUniform(NoiseModel):
     def sample(self, obj, x, rngs, g_true):
         n = x.shape[1]
         z = np.empty_like(x)
-        u = np.empty(len(rngs))
-        for r, rng in enumerate(rngs):
+        u = np.empty(x.shape[0])
+        for r, rng in zip(range(x.shape[0]), rngs):
             rng.standard_normal(out=z[r])
             u[r] = rng.random() ** (1.0 / n)
         nz = np.sqrt(np.vecdot(z, z))[:, None]  # np.linalg.norm of each row
@@ -106,7 +110,7 @@ class AffineGaussian(NoiseModel):
     def sample(self, obj, x, rngs, g_true):
         n = x.shape[1]
         total = self.kappa1 + self.kappa2 * np.vecdot(g_true, g_true)
-        return g_true + np.sqrt(total / n)[:, None] * _normals(rngs, n)
+        return g_true + np.sqrt(total / n)[:, None] * _normals(rngs, x.shape)
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,20 @@ class OracleStream:
         ).generate_state(2, np.uint64)
         self._shared_bg = np.random.Philox(counter=0, key=self._key)
         self._shared_gen = np.random.Generator(self._shared_bg)
-        self._state = self._shared_bg.state
+        # The state of a fresh Philox at counter 0, in plain Python ints,
+        # which the state setter reads faster than arrays of uint64.  An
+        # empty buffer (buffer_pos 4) and no buffered 32-bit half make the
+        # next draw start at the counter, whatever the last draw left.
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter,
+                      "key": [int(k) for k in self._key]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def rng(self, iteration: int) -> np.random.Generator:
         # Iteration index in the high 128 bits: streams of different
@@ -229,12 +246,8 @@ class OracleStream:
         Much cheaper in tight loops; the returned generator is invalidated
         by the next ``rng_shared`` call on the same stream.
         """
-        counter = self._state["state"]["counter"]
-        counter[0] = 0
-        counter[1] = 0
-        counter[2] = iteration & 0xFFFFFFFFFFFFFFFF
-        counter[3] = iteration >> 64
-        self._state["buffer_pos"] = 4
+        self._counter[2] = iteration & 0xFFFFFFFFFFFFFFFF
+        self._counter[3] = iteration >> 64
         self._shared_bg.state = self._state
         return self._shared_gen
 
@@ -243,9 +256,11 @@ def draw(obj: Objective, x, model: NoiseModel, rngs,
          with_true: bool = True) -> OracleDraw:
     """One gradient estimate g(x, xi) per row of ``x`` (R, n).
 
-    Row r draws from ``rngs[r]``, as a lone point would, so a row's
-    estimate does not depend on the other rows; a single point is passed
-    as one row.  The objective's ``grad`` is called once on all rows.
+    Row r draws from the r-th generator of the iterable ``rngs``, as a
+    lone point would, so a row's estimate does not depend on the other
+    rows; a single point is passed as one row.  ``rngs`` is iterated only
+    by models that draw random numbers (see ``NoiseModel``).  The
+    objective's ``grad`` is called once on all rows.
     ``with_true=False`` skips the true-gradient diagnostic when the model
     itself does not need G (only possible for pure subsampling).  The
     model is not validated here: callers run ``model.validate`` once,

@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels
 from .curvature import CurvatureSpec, make_provider
 from .errors import ConfigurationError, NumericalError
-from .geometry import BoundBox, project_box
+from .geometry import BoundBox, TiledBox, project_box
 from .oracle import NoiseModel, OracleStream, draw
 from .problem import TestProblem
 
@@ -139,13 +139,15 @@ def _monitor_checks(inputs, feasible, step_bound, gamma, xi, kappa_b, params):
     return checks
 
 
-def step(x, w, oracle_draw, provider, box: BoundBox, params: SolverParams,
-         slot):
+def step(x, w, oracle_draw, provider, box: TiledBox, params: SolverParams,
+         slot, out):
     """Advance the rows of x (R, n) by one iteration; return the next x, w.
 
-    ``slot`` is one iteration's place in the block buffer: the (R,) g.s_L,
-    s_L^T B s_L and gamma, then the (R, n) vectors of ``_VECTORS``.  The
-    iteration writes all of them; nothing else is computed here.
+    ``box`` holds the bounds tiled to x's shape.  ``slot`` is one
+    iteration's place in the block buffer: the (R,) g.s_L, s_L^T B s_L and
+    gamma, then the (R, n) vectors of ``_VECTORS``.  The iteration writes
+    all of them, and the next x into ``out``; nothing else is computed
+    here.
     """
     g_sl, qf_sl, gamma, x_rec, g, d, w_new, delta, s_l, s, x_raw, *g_true = slot
     x_rec[...] = x
@@ -174,7 +176,7 @@ def step(x, w, oracle_draw, provider, box: BoundBox, params: SolverParams,
 
     np.add(x, s, out=x_raw)
     # Reprojection removes the last-ulp rounding of x + (P(..) - x).
-    return project_box(x_raw, box), w_new
+    return project_box(x_raw, box, out=out), w_new
 
 
 def running_mean(values: np.ndarray) -> np.ndarray:
@@ -341,14 +343,20 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     streams = [OracleStream(base_seed, r) for r in replications]
     box = problem.box
     reps = len(replications)
+    rows = box.tile(reps)
     x = np.tile(SolverState.initial(problem.x_ini, box, params).x, (reps, 1))
+    # Iterate k is in xs[k % 2]: step k writes x_{k+1} over x_{k-1}, which
+    # no one reads after observe.
+    xs = (x, np.empty_like(x))
     w = np.full((reps, box.n), params.sigma)
     hist = _Histories(reps, box.n, horizon, diagnostics, box,
                       provider.kappa_b, params)
     x_prev = g_prev = None
 
     for k in range(horizon):
-        od = draw(obj, x, oracle_model, [st.rng_shared(k) for st in streams],
+        # Lazy: each row's stream is reset as its sample is drawn, and not
+        # at all by a model that draws no random numbers.
+        od = draw(obj, x, oracle_model, (st.rng_shared(k) for st in streams),
                   with_true=diagnostics)
         g = od.g
         if g.shape != x.shape:
@@ -368,7 +376,8 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
                         replications)
 
         j = k % hist.length
-        x, w = step(x, w, od, provider, box, params, hist.slots[j])
+        x, w = step(x, w, od, provider, rows, params, hist.slots[j],
+                    xs[(k + 1) % 2])
         if j == hist.length - 1 or k == horizon - 1:
             hist.check(k - j, j + 1)
 

@@ -19,7 +19,9 @@ from adagb2.errors import ConfigurationError, NumericalError
 from adagb2.geometry import BoundBox
 from adagb2.harness import (ExperimentConfig, ExperimentResult,
                             aggregate_results, write_experiment_outputs)
-from adagb2.oracle import Exact, Gaussian, OracleStream, draw
+from adagb2.oracle import (AffineGaussian, BoundedUniform, ConstantBias,
+                           Exact, Gaussian, OracleStream, RelativeBias,
+                           Subsample, draw)
 from adagb2.problem import Objective
 from adagb2.problem import TestProblem as BoxProblem  # avoid pytest collection
 from adagb2.solver import SolverParams, run, run_batch
@@ -277,3 +279,31 @@ def test_non_finite_gradient_names_its_replication():
                              r"at iteration 0 \(replication 5\)"):
         run_batch(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 5,
                   base_seed=0, replications=[4, 5], diagnostics=False)
+
+
+@pytest.mark.parametrize("model, draws", [
+    (Exact(), False),
+    (ConstantBias(np.array([0.03, -0.02, 0.01]), Exact()), False),
+    (RelativeBias(0.1, Exact()), False),
+    (Gaussian(0.1), True),
+    (BoundedUniform(0.2), True),
+    (AffineGaussian(0.01, 0.05), True),
+    (Subsample(4), True),
+], ids=lambda v: getattr(v, "kind", "draws" if v else "no_draws"))
+def test_streams_are_reset_only_for_models_that_draw(model, draws,
+                                                     monkeypatch):
+    # Each row's stream is reset once per iteration, in row order; a model
+    # that draws no random numbers resets none.
+    calls = []
+    reset = OracleStream.rng_shared
+
+    def counted(stream, k):
+        calls.append((k, stream.replication))
+        return reset(stream, k)
+
+    monkeypatch.setattr(OracleStream, "rng_shared", counted)
+    oracle = "subsample" if isinstance(model, Subsample) else "exact"
+    problem = _config(oracle, "zero").build_problem()
+    run_batch(problem, model, CurvatureSpec("zero"), SolverParams(), 7,
+              base_seed=5, replications=REPS)
+    assert calls == [(k, r) for k in range(7) for r in range(REPS)] * draws

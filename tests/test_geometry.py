@@ -115,6 +115,15 @@ def test_projections_of_a_stack_match_row_by_row_calls():
     assert got.tobytes() == np.array(want).tobytes()
 
 
+def test_project_box_onto_a_tiled_box_into_out():
+    box = BoundBox(np.array([-1.0, -np.inf, 0.0, 2.0]),
+                   np.array([1.0, 3.0, np.inf, 2.0]))
+    y = np.random.default_rng(3).uniform(-4, 4, (5, 4))
+    out = np.empty_like(y)
+    assert project_box(y, box.tile(5), out=out) is out
+    assert out.tobytes() == project_box(y, box).tobytes()
+
+
 def test_projection_shape_errors():
     box = BoundBox(np.zeros(2), np.ones(2))
     for y in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 4, 3))):

@@ -3,8 +3,8 @@
 The reference clamps one coordinate at a time with Python's ``min``/``max``
 and ``math.sqrt``, in the kernels' order of operations, so every output
 must agree bit for bit.  Each kernel is called on 1-d vectors and once on
-an (R, n) stack of rows with (n,) bounds, the broadcasting ``run_batch``
-relies on.
+an (R, n) stack of rows with (n,) bounds.  ``run_batch`` passes the bounds
+tiled to (R, n), which must give the bits of the broadcast (n,) bounds.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from adagb2 import _kernels
+from adagb2.geometry import BoundBox
 
 ROWS = 300
 
@@ -125,3 +126,39 @@ def test_first_order_values():
     assert delta[0] == 0.5 / np.sqrt(1.25)
     # s_L projects x - g onto [max(l, x-delta), min(u, x+delta)]
     assert s_l[0] == max(0.0, 0.5 - delta[0]) - 0.5
+
+
+def _kernel_outputs(x, g, w_prev, y, radii, lower, upper):
+    """Every kernel's output and the sign_adagrad clip, as bytes."""
+    outs = [np.empty_like(x) for _ in range(4)]
+    _kernels.first_order(x, g, lower, upper, w_prev, *outs)
+    box, capped = np.empty_like(y), np.empty_like(y)
+    _kernels.project_box(y, lower, upper, box)
+    _kernels.project_box_cap_trust(y, lower, upper, x, radii, capped)
+    s = -np.sign(g) * outs[2]
+    np.clip(s, lower - x, upper - x, out=s)
+    return [a.tobytes() for a in (*outs, box, capped, s)]
+
+
+@pytest.mark.parametrize("bounds", ("finite", "unbounded", "fixed"))
+def test_tiled_bounds_match_broadcast_bounds(bounds):
+    rng = np.random.default_rng(11)
+    reps, n = 20, 7
+    if bounds == "unbounded":
+        box = BoundBox.unbounded(n)
+    else:
+        lower = rng.uniform(-4, 0, n)
+        upper = lower + rng.uniform(0, 4, n)
+        if bounds == "fixed":  # fixed variables beside infinite bounds
+            upper[:3] = lower[:3]
+            lower[5], upper[6] = -np.inf, np.inf
+        box = BoundBox(lower, upper)
+    rows = box.tile(reps)
+    assert rows.lower.shape == rows.upper.shape == (reps, n)
+    x = np.clip(rng.uniform(-5, 5, (reps, n)), box.lower, box.upper)
+    g = rng.standard_normal((reps, n)) * 10.0 ** rng.integers(-8, 8, (reps, 1))
+    g[0, 0] = 0.0  # sign 0: no sign step on that coordinate
+    args = (x, g, rng.uniform(1e-8, 10, (reps, n)),
+            rng.uniform(-8, 8, (reps, n)), rng.uniform(0, 3, (reps, n)))
+    assert (_kernel_outputs(*args, rows.lower, rows.upper)
+            == _kernel_outputs(*args, box.lower, box.upper))

@@ -33,6 +33,57 @@ def test_stream_shared_matches_fresh():
         assert np.array_equal(fresh, shared)
 
 
+def _draw_bytes(gen):
+    """The bytes of draws that read whole words, 32-bit halves and buffers."""
+    parts = (gen.standard_normal(5), gen.random(3),
+             gen.integers(0, 2**32, size=5, dtype=np.uint32),
+             gen.choice(200, size=10, replace=False),
+             gen.bit_generator.random_raw(6))
+    return b"".join(p.tobytes() for p in parts)
+
+
+def _state(gen):
+    """The bit generator's state with every number as a Python int."""
+    state = gen.bit_generator.state
+    return ([int(v) for v in state["state"]["counter"]],
+            [int(v) for v in state["state"]["key"]],
+            [int(v) for v in state["buffer"]],
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+@pytest.mark.parametrize("k", [2**64 - 1, 2**64, 2**64 + 7, 2**100])
+def test_stream_shared_matches_fresh_in_the_fourth_counter_word(k):
+    stream = OracleStream(5, 0)
+    stream.rng_shared(3).standard_normal(3)
+    shared, fresh = stream.rng_shared(k), stream.rng(k)
+    assert _state(shared) == _state(fresh)
+    assert _draw_bytes(shared) == _draw_bytes(fresh)
+
+
+def test_stream_shared_reset_clears_a_partial_buffer():
+    stream = OracleStream(5, 1)
+    gen = stream.rng_shared(4)
+    gen.choice(200, size=10, replace=False)  # what Subsample draws
+    state = gen.bit_generator.state
+    assert (state["buffer_pos"], state["has_uint32"]) == (2, 1)
+    for k in (9, 4):
+        shared, fresh = stream.rng_shared(k), stream.rng(k)
+        assert _state(shared) == _state(fresh)
+        assert _draw_bytes(shared) == _draw_bytes(fresh)
+
+
+def test_two_streams_reset_alternately():
+    # Resets of one stream must not touch the other's state, whether each
+    # draws right after its reset (the engine's order) or both reset first.
+    a, b = OracleStream(5, 0), OracleStream(5, 1)
+    for k in (0, 7, 2**64 + 1, 7):
+        assert _draw_bytes(a.rng_shared(k)) == _draw_bytes(a.rng(k))
+        assert _draw_bytes(b.rng_shared(k)) == _draw_bytes(b.rng(k))
+        ga, gb = a.rng_shared(k + 1), b.rng_shared(k + 1)
+        assert _draw_bytes(ga) == _draw_bytes(a.rng(k + 1))
+        assert _draw_bytes(gb) == _draw_bytes(b.rng(k + 1))
+
+
 def test_stream_out_of_order_access():
     # Counter-based streams: value at iteration k is independent of the
     # order in which iterations are visited.
