@@ -18,42 +18,41 @@ from .problem import Objective
 class NoiseModel:
     """A gradient oracle; ``kind`` names it in configs, its fields are keys.
 
-    ``sample`` returns the estimates at the rows of ``x`` (R, n), row r
-    drawing from the r-th generator of ``rngs`` as a lone n-vector would,
-    in the same order, so a row's estimate does not depend on the other
-    rows.  ``rngs`` is an iterable of one generator per row, taken once
-    each, in row order, just before that row's sample; the row count comes
-    from ``x``.  It may be lazy (the engine resets each row's stream as it
-    is taken), so a model that draws no random numbers does not iterate
-    it: that would cost a reset per row.  ``sample`` reads the true gradients ``g_true`` only if
-    ``needs_true``.  ``validate`` raises ConfigurationError if the model
-    cannot be used with the objective in dimension n.
+    ``sample`` writes the estimates at the rows of ``x`` (R, n) into the
+    rows of ``out`` (R, n), row r drawing from the r-th generator of
+    ``rngs`` as a lone n-vector would, in the same order, so a row's
+    estimate does not depend on the other rows.  ``rngs`` is an iterable of
+    one generator per row, taken once each, in row order, just before that
+    row's sample; the row count comes from ``x``.  It may be lazy (the
+    engine resets each row's stream as it is taken), so a model that draws
+    no random numbers does not iterate it: that would cost a reset per row.
+    ``sample`` reads the true gradients ``g_true`` only if ``needs_true``.
+    ``validate`` raises ConfigurationError if the model cannot be used with
+    the objective in dimension n.
     """
 
     kind: str
     needs_true = True
 
-    def sample(self, obj: Objective, x, rngs, g_true):
+    def sample(self, obj: Objective, x, rngs, g_true, out) -> None:
         raise NotImplementedError
 
     def validate(self, obj: Objective, n: int) -> None:
         pass
 
 
-def _normals(rngs, shape):
-    """One standard normal row from each generator, stacked to ``shape``."""
-    z = np.empty(shape)
-    for row, rng in zip(z, rngs):
+def _normals(rngs, out):
+    """One standard normal row from each generator, into the rows of out."""
+    for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
-    return z
 
 
 @dataclass(frozen=True)
 class Exact(NoiseModel):
     kind = "exact"
 
-    def sample(self, obj, x, rngs, g_true):
-        return g_true.copy()
+    def sample(self, obj, x, rngs, g_true, out):
+        np.copyto(out, g_true)
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,11 @@ class Gaussian(NoiseModel):
         if not self.sigma >= 0:  # NaN fails too
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
-    def sample(self, obj, x, rngs, g_true):
-        return g_true + self.sigma * _normals(rngs, x.shape)
+    def sample(self, obj, x, rngs, g_true, out):
+        # G + sigma * z, in place: products and sums commute bit for bit.
+        _normals(rngs, out)
+        out *= self.sigma
+        out += g_true
 
 
 @dataclass(frozen=True)
@@ -82,17 +84,18 @@ class BoundedUniform(NoiseModel):
         if not self.radius >= 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 
-    def sample(self, obj, x, rngs, g_true):
+    def sample(self, obj, x, rngs, g_true, out):
         n = x.shape[1]
-        z = np.empty_like(x)
         u = np.empty(x.shape[0])
         for r, rng in zip(range(x.shape[0]), rngs):
-            rng.standard_normal(out=z[r])
+            rng.standard_normal(out=out[r])
             u[r] = rng.random() ** (1.0 / n)
-        nz = np.sqrt(np.vecdot(z, z))[:, None]  # np.linalg.norm of each row
+        nz = np.sqrt(np.vecdot(out, out))[:, None]  # np.linalg.norm of each row
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = g_true + (self.radius * u)[:, None] * z / nz
-        return np.where(nz == 0.0, g_true, g)
+            out *= (self.radius * u)[:, None]
+            out /= nz
+            out += g_true
+        np.copyto(out, g_true, where=nz == 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,12 @@ class AffineGaussian(NoiseModel):
         if not (self.kappa1 >= 0 and self.kappa2 >= 0):
             raise ValueError("kappa1 and kappa2 must be >= 0")
 
-    def sample(self, obj, x, rngs, g_true):
+    def sample(self, obj, x, rngs, g_true, out):
         n = x.shape[1]
         total = self.kappa1 + self.kappa2 * np.vecdot(g_true, g_true)
-        return g_true + np.sqrt(total / n)[:, None] * _normals(rngs, x.shape)
+        _normals(rngs, out)
+        out *= np.sqrt(total / n)[:, None]
+        out += g_true
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,9 @@ class ConstantBias(NoiseModel):
     def needs_true(self):
         return self.inner.needs_true
 
-    def sample(self, obj, x, rngs, g_true):
-        return self.inner.sample(obj, x, rngs, g_true) + self.bias
+    def sample(self, obj, x, rngs, g_true, out):
+        self.inner.sample(obj, x, rngs, g_true, out)
+        out += self.bias
 
     def validate(self, obj, n):
         if self.bias.shape != (n,):
@@ -156,8 +162,9 @@ class RelativeBias(NoiseModel):
         if np.isnan(self.rho):
             raise ValueError("rho must not be NaN")
 
-    def sample(self, obj, x, rngs, g_true):
-        return self.inner.sample(obj, x, rngs, g_true) + self.rho * g_true
+    def sample(self, obj, x, rngs, g_true, out):
+        self.inner.sample(obj, x, rngs, g_true, out)
+        out += self.rho * g_true
 
     def validate(self, obj, n):
         self.inner.validate(obj, n)
@@ -175,12 +182,11 @@ class Subsample(NoiseModel):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
-    def sample(self, obj, x, rngs, g_true):
-        return np.stack([
-            obj.term_grad(row, rng.choice(obj.num_terms, size=self.batch_size,
-                                          replace=False))
-            for row, rng in zip(x, rngs)
-        ])
+    def sample(self, obj, x, rngs, g_true, out):
+        for row, g, rng in zip(x, out, rngs):
+            g[...] = obj.term_grad(
+                row, rng.choice(obj.num_terms, size=self.batch_size,
+                                replace=False))
 
     def validate(self, obj, n):
         if obj.num_terms is None or obj.term_grad is None:
@@ -253,23 +259,28 @@ class OracleStream:
 
 
 def draw(obj: Objective, x, model: NoiseModel, rngs,
-         with_true: bool = True) -> OracleDraw:
+         with_true: bool = True, out=None) -> OracleDraw:
     """One gradient estimate g(x, xi) per row of ``x`` (R, n).
 
     Row r draws from the r-th generator of the iterable ``rngs``, as a
     lone point would, so a row's estimate does not depend on the other
     rows; a single point is passed as one row.  ``rngs`` is iterated only
     by models that draw random numbers (see ``NoiseModel``).  The
-    objective's ``grad`` is called once on all rows.
-    ``with_true=False`` skips the true-gradient diagnostic when the model
-    itself does not need G (only possible for pure subsampling).  The
-    model is not validated here: callers run ``model.validate`` once,
-    before their draws.
+    estimates are written into ``out`` (R, n), or into a new array if it is
+    None, which becomes the draw's ``g``.  The objective's ``grad`` is
+    called once on all rows.  ``with_true=False`` skips the true-gradient
+    diagnostic when the model itself does not need G (only possible for
+    pure subsampling).  The model is not validated here: callers run
+    ``model.validate`` once, before their draws.
     """
     x = np.asarray(x, dtype=np.float64)
     need_true = with_true or model.needs_true
     g_true = obj.grad(x) if need_true else None
-    g = model.sample(obj, x, rngs, g_true)
+    if g_true is not None and g_true.shape != x.shape:
+        raise ValueError(f"gradient shape {g_true.shape} does not match "
+                         f"{x.shape}")
+    g = np.empty(x.shape) if out is None else out
+    model.sample(obj, x, rngs, g_true, g)
     return OracleDraw(g, g_true if with_true else None)
 
 
@@ -280,12 +291,8 @@ def empirical_rmse(obj: Objective, x, model, draws: int, seed: int) -> float:
     x = np.asarray(x, dtype=np.float64)
     model.validate(obj, x.shape[-1])
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x535E)))
-    g_true = obj.grad(x)
-    # One call for all draws: the one generator, repeated per row, makes
-    # the draws a loop of single draws would make, in the same order.
-    # np.tile, not a broadcast view: the samplers write into arrays made
-    # like x, which must be contiguous.
-    g = model.sample(obj, np.tile(x, (draws, 1)), [rng] * draws,
-                     np.tile(g_true, (draws, 1)))
-    errs = g - g_true
+    # One draw for all: the one generator, repeated per row, makes the
+    # draws a loop of single draws would make, in the same order.
+    od = draw(obj, np.tile(x, (draws, 1)), model, [rng] * draws)
+    errs = od.g - od.g_true
     return float(np.sqrt(np.mean(np.sum(errs * errs, axis=1))))

@@ -39,8 +39,11 @@ class Objective:
     float for a point and an (R,) array for a batch.  Reductions over the
     last axis (``sum(axis=-1)``, ``max(axis=-1)``) and stacked products
     (``np.matmul(A, x[..., None])[..., 0]``) keep that promise; ``x @ A.T``
-    does not.  ``grad`` also takes any stack (..., n) of points.
-    ``term_grad`` takes a single point.
+    does not.  ``f`` and ``grad`` also take any stack (..., n) of points,
+    ``f`` returning one value per point: the engine evaluates ``f`` once
+    per block, on the (m, R, n) stack of the block's iterates, and
+    ``diagonal_fd`` calls ``grad`` on (n, R, n) stacks.  ``term_grad``
+    takes a single point.
     """
 
     f: Callable[[np.ndarray], float]

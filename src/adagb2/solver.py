@@ -16,13 +16,16 @@ counted and reported, and should be zero up to floating-point slack.
 
 One engine advances R replications as one (R, n) state; ``run`` is its
 one-row case.  Each iteration does only what the next iterate needs and
-records its vectors in a reused block buffer.  Once per block, the
-monitor inputs and the histories are derived from the recorded vectors by
-the same row-wise operations and all monitors are checked, so every row
-gets the bits its replication gets alone.
+records its vectors in a reused block buffer: the oracle writes its
+estimate there, and the step writes the next iterate there.  Once per
+block, the objective values, the monitor inputs and the histories are
+derived from the recorded vectors by the same row-wise operations and all
+monitors are checked, so every row gets the bits its replication gets
+alone.
 """
 
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -53,6 +56,7 @@ SLACK = 1e-10
 
 BLOCK = 256  # most iterations recorded before their monitors are checked
 BLOCK_BYTES = 256 * 1024  # the recorded vectors of a block fit in this
+# (unless two iterations, the fewest a block holds, take more)
 
 # The vectors each iteration records; g_true only with diagnostics.
 _VECTORS = ("x", "g", "d", "w", "delta", "s_l", "s", "x_raw", "g_true")
@@ -145,13 +149,12 @@ def step(x, w, oracle_draw, provider, box: TiledBox, params: SolverParams,
 
     ``box`` holds the bounds tiled to x's shape.  ``slot`` is one
     iteration's place in the block buffer: the (R,) g.s_L, s_L^T B s_L and
-    gamma, then the (R, n) vectors of ``_VECTORS``.  The iteration writes
-    all of them, and the next x into ``out``; nothing else is computed
-    here.
+    gamma, then the (R, n) vectors of ``_VECTORS`` but x, which is the
+    slot's iterate already.  ``oracle_draw`` has written its estimate into
+    the slot's g; the iteration writes the others, and the next x into
+    ``out``; nothing else is computed here.
     """
-    g_sl, qf_sl, gamma, x_rec, g, d, w_new, delta, s_l, s, x_raw, *g_true = slot
-    x_rec[...] = x
-    g[...] = oracle_draw.g
+    g_sl, qf_sl, gamma, g, d, w_new, delta, s_l, s, x_raw, *g_true = slot
     if g_true:
         g_true[0][...] = oracle_draw.g_true
     _kernels.first_order(x, g, box.lower, box.upper, w, d, w_new, delta, s_l)
@@ -228,34 +231,66 @@ HISTORIES = tuple(f.name for f in fields(RunResult) if f.type is np.ndarray)
 class _Histories:
     """The per-iteration histories of a run, its block buffer and monitors.
 
-    Every array has one row per replication.  Iteration k records its
-    vectors in ``slots[k % length]``; ``check`` derives the histories and
-    the monitor inputs of a block from the recorded vectors, evaluates the
-    monitors and adds up the violations.  The block length keeps the
-    recorded vectors within ``BLOCK_BYTES`` and at most ``BLOCK``.
+    Every array has one row per replication.  Iterate k sits in
+    ``iterates[k % length]``, its step writes iterate k + 1 into the next
+    one, and the iteration records its other vectors in
+    ``slots[k % length]``.  ``check`` evaluates the objective at the
+    block's iterates, derives the histories and the monitor inputs from
+    the recorded vectors, evaluates the monitors and adds up the
+    violations.  The block length keeps the recorded vectors within
+    ``BLOCK_BYTES`` and at most ``BLOCK``, but at least 2: iteration k + 1
+    reads the estimate that iteration k left in its slot.
     """
 
-    def __init__(self, reps, n, horizon, diagnostics, box, kappa_b, params):
+    def __init__(self, obj, replications, horizon, diagnostics, box,
+                 kappa_b, params):
+        reps, n = len(replications), box.n
         shape = (reps, horizon)
         for name in HISTORIES:  # NaN stays where a diagnostic is not computed
             setattr(self, name, np.zeros(shape, np.int64)
                     if name == "violation_count" else np.full(shape, np.nan))
         kinds = len(_VECTORS) - (not diagnostics)
-        self.length = max(1, min(BLOCK, BLOCK_BYTES // (8 * kinds * reps * n)))
-        self.vectors = np.empty((kinds, self.length, reps, n))
+        self.length = max(2, min(BLOCK, BLOCK_BYTES // (8 * kinds * reps * n)))
+        self.x = np.empty((self.length + 1, reps, n))
+        self.vectors = np.empty((kinds - 1, self.length, reps, n))  # but x
         self.scalars = np.empty((3, self.length, reps))  # g.s_L, qf_sL, gamma
-        self.slots = [(*self.scalars[:, j], *self.vectors[:, j])
-                      for j in range(self.length)]
+        self.iterates = list(self.x)
+        self.slots = list(zip(*self.scalars, *self.vectors))
+        self.estimates = list(self.vectors[0])  # the slots' g
         self.checked = MONITORS if diagnostics else MONITORS[:-1]
         self.failed = np.zeros((reps, len(self.checked)), dtype=np.int64)
+        self._f = obj.f if diagnostics else None
+        self._replications = replications
         self._box, self._limits = box, (kappa_b, params)
 
+    def check_objective(self, k0, m):
+        """Record f at iterates k0 to k0 + m - 1, in iterates 0 to m - 1.
+
+        Raises NumericalError at the first iteration with a non-finite
+        value, naming the first such replication.  A no-op without
+        diagnostics.
+        """
+        if self._f is None:
+            return
+        fval = self._f(self.x[:m])  # (m, R)
+        ok = np.isfinite(fval)
+        if not ok.all():
+            i = int(np.argmin(ok.all(axis=1)))
+            _non_finite(ok[i], "objective value", fval[i], k0 + i,
+                        self._replications)
+        self.f_values[:, k0:k0 + m] = fval.T
+
     def check(self, k0, m):
-        """Iterations k0 to k0 + m - 1, recorded in slots 0 to m - 1."""
+        """Iterations k0 to k0 + m - 1, recorded in slots 0 to m - 1.
+
+        After a full block, iterate k0 + m moves to ``iterates[0]``.
+        """
+        self.check_objective(k0, m)
         kappa_b, params = self._limits
         box = self._box
         g_sl, qf_sl, gamma = self.scalars[:, :m]  # (m, R)
-        x, g, d, w, delta, s_l, s, x_raw, *g_true = self.vectors[:, :m]
+        x = self.x[:m]
+        g, d, w, delta, s_l, s, x_raw, *g_true = self.vectors[:, :m]
         # s^T B s = gamma^2 s_L^T B s_L: s = gamma s_L for cauchy, and
         # sign_adagrad runs with B = 0, where s_L^T B s_L = +0.0 and gamma = 1.
         inputs = (g_sl, np.vecdot(g, s), np.vecdot(g, gamma[..., None] * s_l),
@@ -282,6 +317,8 @@ class _Histories:
             gamma, xi, kappa_b, params), axis=-1)  # (m, R, monitors)
         self.failed += bad.sum(axis=0)
         self.violation_count[block] = bad.sum(axis=-1).T
+        if m == self.length:
+            self.x[0] = self.x[m]
 
     def result(self, r, event_a, final_state) -> RunResult:
         """The result of row r."""
@@ -344,44 +381,38 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     box = problem.box
     reps = len(replications)
     rows = box.tile(reps)
-    x = np.tile(SolverState.initial(problem.x_ini, box, params).x, (reps, 1))
-    # Iterate k is in xs[k % 2]: step k writes x_{k+1} over x_{k-1}, which
-    # no one reads after observe.
-    xs = (x, np.empty_like(x))
-    w = np.full((reps, box.n), params.sigma)
-    hist = _Histories(reps, box.n, horizon, diagnostics, box,
+    hist = _Histories(obj, replications, horizon, diagnostics, box,
                       provider.kappa_b, params)
+    hist.iterates[0][...] = SolverState.initial(problem.x_ini, box, params).x
+    w = np.full((reps, box.n), params.sigma)
     x_prev = g_prev = None
 
     for k in range(horizon):
+        j = k % hist.length
+        x = hist.iterates[j]
         # Lazy: each row's stream is reset as its sample is drawn, and not
-        # at all by a model that draws no random numbers.
-        od = draw(obj, x, oracle_model, (st.rng_shared(k) for st in streams),
-                  with_true=diagnostics)
+        # at all by a model that draws no random numbers.  The estimate goes
+        # into the slot's g.
+        od = draw(obj, x, oracle_model,
+                  map(OracleStream.rng_shared, streams, repeat(k)),
+                  with_true=diagnostics, out=hist.estimates[j])
         g = od.g
-        if g.shape != x.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {x.shape}")
         if k > 0:
             provider.observe(x_prev, x, g_prev, g)
         x_prev, g_prev = x, g
-
-        if diagnostics:
-            fval = obj.f(x)
-            ok = np.isfinite(fval)
-            if not ok.all():
-                _non_finite(ok, "objective value", fval, k, replications)
-            hist.f_values[:, k] = fval
         if not np.isfinite(g).all():
+            # A non-finite objective value at an iterate up to k is the
+            # earlier failure.
+            hist.check_objective(k - j, j + 1)
             _non_finite(np.isfinite(g).all(axis=1), "gradient estimate", g, k,
                         replications)
 
-        j = k % hist.length
         x, w = step(x, w, od, provider, rows, params, hist.slots[j],
-                    xs[(k + 1) % 2])
+                    hist.iterates[j + 1])
         if j == hist.length - 1 or k == horizon - 1:
             hist.check(k - j, j + 1)
 
-    w = w.copy()  # not a view of the block buffer
+    x, w = x.copy(), w.copy()  # not views of the block buffer
     # Python's float power, which can round apart from v * v in the last bit.
     event_a = [float(v) ** 2 >= params.sigma for v in hist.norm_d[:, 0]]
     return [hist.result(r, event_a[r], SolverState(x=x[r], w=w[r], k=horizon))

@@ -307,3 +307,81 @@ def test_streams_are_reset_only_for_models_that_draw(model, draws,
     run_batch(problem, model, CurvatureSpec("zero"), SolverParams(), 7,
               base_seed=5, replications=REPS)
     assert calls == [(k, r) for k in range(7) for r in range(REPS)] * draws
+
+
+@pytest.mark.parametrize("block", (1, 2))
+@pytest.mark.parametrize("curvature", CURVATURES)
+def test_short_blocks_match_the_default_length(curvature, block, monkeypatch):
+    # The draw writes each estimate into its slot of the block buffer, and
+    # the next iteration's observe reads it there: scalar_bb's gradient
+    # change must not read one slot twice, however short the block.  On
+    # this quadratic every provider but zero cuts some Cauchy factors.
+    config = _config("gaussian", curvature, problem="boxed_quadratic")
+    args = (config.build_problem(), config.oracle, config.curvature,
+            config.solver, config.horizon, config.base_seed)
+    default = run_batch(*args, replications=REPS)
+    assert any((res.gamma < 1.0).any() for res in default) is (
+        curvature != "zero")
+    monkeypatch.setattr(solver, "BLOCK", block)
+    for a, b in zip(default, run_batch(*args, replications=REPS)):
+        _assert_same_result(a, b)
+
+
+def _climb(f_limit=np.inf, grad_limit=np.inf):
+    """The unbounded line from 0 under a gradient of -1: with ``CLIMB``'s
+    noise every row climbs, in steps that differ a little between rows.
+    f(x) = x, but inf from f_limit up; the gradient is NaN from grad_limit
+    up."""
+    obj = Objective(
+        f=lambda x: np.where(x[..., 0] >= f_limit, np.inf, x[..., 0]),
+        grad=lambda x: np.where(x >= grad_limit, np.nan, -1.0),
+        f_low=-np.inf)
+    return BoxProblem("climb", obj, BoundBox.unbounded(1), np.array([0.0]))
+
+
+CLIMB = (Gaussian(0.01), CurvatureSpec("zero"), SolverParams())
+
+
+def _climb_iterates(horizon, replications):
+    """The iterates of each row on ``_climb()``, (R, horizon)."""
+    results = run_batch(_climb(), *CLIMB, horizon, base_seed=0,
+                        replications=replications)
+    xs = np.array([res.f_values for res in results])
+    assert (np.diff(xs, axis=1) > 0).all()
+    return xs
+
+
+def test_objective_error_wins_over_a_later_gradient_error():
+    # Replication 4 reaches f's limit first, at iteration k1; the gradient
+    # turns NaN at a later iteration k2 of the same block, before the block
+    # is checked.  The objective error is raised, naming k1 and row 4.
+    horizon, replications = 40, [3, 4]
+    xs = _climb_iterates(horizon, replications)
+    k1 = next(k for k in range(5, horizon) if xs[1, k] > xs[0, k])
+    k2 = k1 + 3
+    f_limit, grad_limit = xs[1, k1], xs[:, k2].min()
+    assert (xs[:, :k1] < f_limit).all() and xs[0, k1] < f_limit
+    assert (xs[:, :k2] < grad_limit).all()
+    args = (_climb(f_limit, grad_limit), *CLIMB, horizon)
+    assert horizon < solver.BLOCK  # one block
+    with pytest.raises(NumericalError,
+                       match=rf"^non-finite gradient estimate .* at "
+                             rf"iteration {k2} "):
+        run_batch(*args, base_seed=0, replications=replications,
+                  diagnostics=False)
+    with pytest.raises(NumericalError,
+                       match=rf"^non-finite objective value inf at "
+                             rf"iteration {k1} \(replication 4\)$"):
+        run_batch(*args, base_seed=0, replications=replications)
+
+
+def test_objective_error_in_the_last_partial_block():
+    # One row, one coordinate: full blocks of BLOCK iterations, then a
+    # partial one, in which alone f is not finite.
+    horizon = solver.BLOCK + 44
+    xs = _climb_iterates(horizon, 1)
+    k1 = horizon - 3
+    with pytest.raises(NumericalError,
+                       match=rf"^non-finite objective value inf at "
+                             rf"iteration {k1} \(replication 0\)$"):
+        run(_climb(xs[0, k1]), *CLIMB, horizon, base_seed=0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from adagb2.errors import ConfigurationError
-from adagb2.oracle import (AffineGaussian, BoundedUniform, ConstantBias,
-                           Exact, Gaussian, OracleStream, RelativeBias,
-                           Subsample, draw, empirical_rmse)
-from adagb2.problem import make_test_problem
+from adagb2.oracle import (NOISE_MODELS, AffineGaussian, BoundedUniform,
+                           ConstantBias, Exact, Gaussian, OracleStream,
+                           RelativeBias, Subsample, draw, empirical_rmse)
+from adagb2.problem import Objective, make_test_problem
 
 PROB = make_test_problem("boxed_quadratic", 6, 0)
 OBJ = PROB.objective
@@ -254,3 +254,40 @@ def test_draw_rows_match_single_points(model):
     bare = draw(obj, x, model, rngs(), with_true=False)
     assert bare.g.tobytes() == od.g.tobytes()
     assert bare.g_true is None
+
+
+# One model of every kind, the bias wrappers nested in each other.
+EVERY_KIND = {
+    "exact": Exact(),
+    "gaussian": Gaussian(0.2),
+    "bounded_uniform": BoundedUniform(0.3),
+    "affine_gaussian": AffineGaussian(0.04, 0.5),
+    "constant_bias": ConstantBias(np.full(4, 0.05),
+                                  RelativeBias(0.1, Gaussian(0.1))),
+    "relative_bias": RelativeBias(-0.2, ConstantBias(np.full(4, -0.03),
+                                                     BoundedUniform(0.2))),
+    "subsample": Subsample(5),
+}
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
+def test_draw_into_a_given_buffer(kind, reps):
+    # The engine passes the block buffer's slot; other callers let draw
+    # allocate.  Both get the same bytes, and the slot is the draw's g.
+    model = EVERY_KIND[kind]
+    obj = make_test_problem("finite_sum_logistic", 4, 0).objective
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (reps, 4))
+    rngs = lambda: [OracleStream(11, r).rng(5) for r in range(reps)]  # noqa: E731
+    fresh = draw(obj, x, model, rngs())
+    out = np.full((reps, 4), np.nan)
+    given = draw(obj, x, model, rngs(), out=out)
+    assert given.g is out
+    assert out.tobytes() == fresh.g.tobytes()
+    assert given.g_true.tobytes() == fresh.g_true.tobytes()
+
+
+def test_draw_rejects_a_gradient_of_the_wrong_shape():
+    obj = Objective(f=lambda x: 0.0, grad=lambda x: np.zeros(3), f_low=0.0)
+    with pytest.raises(ValueError, match="does not match"):
+        draw(obj, np.zeros((2, 3)), Exact(), [])

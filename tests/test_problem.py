@@ -172,3 +172,23 @@ def test_logistic_grad_stack_matches_lone_points(shape):
     x = np.random.default_rng(0).uniform(-5.0, 5.0, shape)
     lone = np.stack([obj.grad(p) for p in x.reshape(-1, shape[-1])])
     assert obj.grad(x).tobytes() == lone.reshape(shape).tobytes()
+
+
+@pytest.mark.parametrize("name", [*PROBLEM_NAMES, "quadratic_problem"])
+def test_f_stack_matches_lone_points(name):
+    # The engine evaluates f once per block, on the (m, R, n) stack of the
+    # block's iterates; each value must be the bits of a lone call.
+    if name == "quadratic_problem":
+        obj = quadratic_problem([0.5, 2.0, 7.0], [1.0, -3.0, 0.25],
+                                [-1.0, -2.0, 0.0], [1.0, 2.0, 3.0],
+                                [0.0, 0.0, 1.0]).objective
+        dim = 3
+    else:
+        dim = 50 if name == "finite_sum_logistic" else 5
+        obj = make_test_problem(name, dim, 3).objective
+    x = np.random.default_rng(1).uniform(-2.0, 2.0, (7, 3, dim))
+    lone = np.array([obj.f(p) for p in x.reshape(-1, dim)])
+    assert all(type(obj.f(p)) is float for p in x[0])
+    stack = obj.f(x)
+    assert stack.shape == (7, 3)
+    assert stack.tobytes() == lone.reshape(7, 3).tobytes()
