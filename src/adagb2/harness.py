@@ -11,7 +11,6 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -273,6 +272,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     parts = min(config.workers, config.replications)
     if parts > 1:
+        # Imported here: the pool's modules cost every launch 10-15 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         blocks = _blocks(config.replications, parts)
         with ProcessPoolExecutor(max_workers=parts) as pool:
             results = [res for block in pool.map(

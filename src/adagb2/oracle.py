@@ -7,10 +7,12 @@ bit-identical draws regardless of execution order.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
+from ._philox import PhiloxBlocks, fast_normals, numpy_agrees
 from .errors import ConfigurationError
 from .problem import Objective
 
@@ -26,6 +28,9 @@ class NoiseModel:
     row's sample; the row count comes from ``x``.  It may be lazy (the
     engine resets each row's stream as it is taken), so a model that draws
     no random numbers does not iterate it: that would cost a reset per row.
+    A model that draws only standard normals takes them through
+    ``_normals``, which reads them from the engine's ``StreamRows`` block
+    where it can.
     ``sample`` reads the true gradients ``g_true`` only if ``needs_true``.
     ``validate`` raises ConfigurationError if the model cannot be used with
     the objective in dimension n.
@@ -43,6 +48,8 @@ class NoiseModel:
 
 def _normals(rngs, out):
     """One standard normal row from each generator, into the rows of out."""
+    if isinstance(rngs, StreamRows) and rngs.block_normals(out):
+        return
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
 
@@ -256,6 +263,81 @@ class OracleStream:
         self._counter[3] = iteration >> 64
         self._shared_bg.state = self._state
         return self._shared_gen
+
+
+# The block path's scope and size, from timing run_batch both ways on
+# boxed_quadratic with Gaussian noise: at 4 rows or more it was faster
+# through n = 16 and slower from n = 24; at 1 to 3 rows it gained little
+# or nothing.  A block holds about BLOCK_COUNTERS Philox counters.
+BLOCK_ROWS = 4
+BLOCK_WORDS = 16
+BLOCK_COUNTERS = 4096
+
+
+def block_length(rows: int, n: int) -> int:
+    """Iterations per block of ``StreamRows``' block path, or 0 where the
+    path does not apply: fewer than ``BLOCK_ROWS`` rows or more than
+    ``BLOCK_WORDS`` normals a row."""
+    if rows < BLOCK_ROWS or n > BLOCK_WORDS:
+        return 0
+    return max(1, BLOCK_COUNTERS // (rows * -(-n // 4)))
+
+
+class StreamRows:
+    """The rows' generators at one iteration, as ``draw``'s ``rngs``.
+
+    Row r is ``streams[r]``; ``at(k)`` moves to iteration k and returns the
+    object.  Iterating it resets each row's stream to k as the row is taken
+    (``OracleStream.rng_shared``), so a model that draws nothing resets
+    nothing.  ``block_normals(out)`` writes n standard normals into each
+    row of ``out``, bit for bit what ``rng_shared(k).standard_normal``
+    writes, if the block path applies (``block_length``, and the installed
+    numpy passes ``numpy_agrees``), and otherwise returns False.  The block
+    path computes the Philox words of a block of iterations at once and
+    resets only the rows whose words leave the ziggurat's fast path.
+    ``horizon`` is the first iteration no block reaches.
+    """
+
+    def __init__(self, streams, n, horizon):
+        self.streams = streams
+        self.k = 0
+        self._end = horizon
+        length = block_length(len(streams), n)
+        self._philox = PhiloxBlocks([s._key for s in streams], n,
+                                    length) if length else None
+        self._k0 = self._k1 = 0  # the iterations in the block
+        self._z = self._slow = None
+
+    def at(self, k):
+        self.k = k
+        return self
+
+    def __iter__(self):
+        return map(OracleStream.rng_shared, self.streams, repeat(self.k))
+
+    def block_normals(self, out) -> bool:
+        k = self.k
+        if self._philox is not None and not self._k0 <= k < self._k1:
+            self._fill(k)
+        if self._philox is None:
+            return False
+        j = k - self._k0
+        np.copyto(out, self._z[j])
+        for r in self._slow.get(j, ()):
+            OracleStream.rng_shared(self.streams[r], k).standard_normal(
+                out=out[r])
+        return True
+
+    def _fill(self, k):
+        if not numpy_agrees():
+            self._philox = None
+            return
+        m = min(self._philox.length, self._end - k)
+        z, fast = fast_normals(self._philox.words(k, m))
+        self._slow = {}  # iteration in the block -> rows to draw by numpy
+        for j, r in zip(*np.nonzero(~fast.all(axis=-1))):
+            self._slow.setdefault(int(j), []).append(int(r))
+        self._z, self._k0, self._k1 = z, k, k + m
 
 
 def draw(obj: Objective, x, model: NoiseModel, rngs,

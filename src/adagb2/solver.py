@@ -25,7 +25,6 @@ alone.
 """
 
 from dataclasses import dataclass, fields
-from itertools import repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -34,7 +33,7 @@ from . import _kernels
 from .curvature import CurvatureSpec, make_provider
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, TiledBox, project_box
-from .oracle import NoiseModel, OracleStream, draw
+from .oracle import NoiseModel, OracleStream, StreamRows, draw
 from .problem import TestProblem
 
 STEP_MODES = ("cauchy", "sign_adagrad")
@@ -377,7 +376,8 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     if params.step_mode == "sign_adagrad" and curvature_spec.kind != "zero":
         raise ConfigurationError("sign_adagrad mode requires the zero provider")
     provider = make_provider(curvature_spec, obj)
-    streams = [OracleStream(base_seed, r) for r in replications]
+    rngs = StreamRows([OracleStream(base_seed, r) for r in replications],
+                      problem.box.n, horizon)
     box = problem.box
     reps = len(replications)
     rows = box.tile(reps)
@@ -390,12 +390,12 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     for k in range(horizon):
         j = k % hist.length
         x = hist.iterates[j]
-        # Lazy: each row's stream is reset as its sample is drawn, and not
-        # at all by a model that draws no random numbers.  The estimate goes
-        # into the slot's g.
-        od = draw(obj, x, oracle_model,
-                  map(OracleStream.rng_shared, streams, repeat(k)),
-                  with_true=diagnostics, out=hist.estimates[j])
+        # Lazy: each row's stream is reset as its sample is drawn; not at
+        # all by a model that draws no random numbers, and only for the
+        # rows a block leaves to numpy when the normals come from a block
+        # (``StreamRows``).  The estimate goes into the slot's g.
+        od = draw(obj, x, oracle_model, rngs.at(k), with_true=diagnostics,
+                  out=hist.estimates[j])
         g = od.g
         if k > 0:
             provider.observe(x_prev, x, g_prev, g)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from adagb2 import solver
+from adagb2 import _philox, oracle, solver
 from adagb2.curvature import CurvatureSpec, make_provider
 from adagb2.errors import ConfigurationError, NumericalError
 from adagb2.geometry import BoundBox
@@ -385,3 +385,59 @@ def test_objective_error_in_the_last_partial_block():
                        match=rf"^non-finite objective value inf at "
                              rf"iteration {k1} \(replication 0\)$"):
         run(_climb(xs[0, k1]), *CLIMB, horizon, base_seed=0)
+
+
+@pytest.mark.parametrize("oracle_kind", ("gaussian", "affine_gaussian",
+                                         "constant_bias"))
+def test_block_draws_match_lone_runs(oracle_kind):
+    # Enough rows for the block path; a lone run draws per row.
+    config = _config(oracle_kind, "scalar_bb", problem="boxed_quadratic")
+    args = (config.build_problem(), config.oracle, config.curvature,
+            config.solver, config.horizon, config.base_seed)
+    reps = range(oracle.BLOCK_ROWS + 3)
+    assert oracle.block_length(len(reps), 3) > 0
+    for r, res in zip(reps, run_batch(*args, replications=reps)):
+        _assert_same_result(run(*args, replication=r), res)
+
+
+def test_a_wrong_table_entry_turns_the_block_path_off(monkeypatch):
+    # mc_quadratic_n2's shape at a short horizon.  With numpy's tables most
+    # rows take block normals; with one wrong entry the guard turns the
+    # block path off, every row is reset and drawn by numpy, and the bits
+    # stay.  Without the guard the wrong entry would show.
+    config = ExperimentConfig.from_dict({
+        "problem": {"name": "boxed_quadratic", "dim": 2, "seed": 0},
+        "oracle": {"kind": "gaussian", "sigma": 0.1},
+        "curvature": {"kind": "zero"},
+        "run": {"horizon": 150, "replications": 20, "base_seed": 7},
+    })
+    args = (config.build_problem(), config.oracle, config.curvature,
+            config.solver, config.horizon, config.base_seed, 20)
+    resets = []
+    reset = OracleStream.rng_shared
+
+    def counted(stream, k):
+        resets.append(k)
+        return reset(stream, k)
+
+    monkeypatch.setattr(OracleStream, "rng_shared", counted)
+    wi = _philox._WI_TABLE.copy()
+    wi[37] = np.nextafter(wi[37], 0.0)
+    _philox.numpy_agrees.cache_clear()
+    try:
+        block = run_batch(*args)
+        block_resets = len(resets)
+        monkeypatch.setattr(_philox, "_WI_TABLE", wi)
+        _philox.numpy_agrees.cache_clear()
+        resets.clear()
+        guarded = run_batch(*args)
+        assert len(resets) == 20 * 150
+        monkeypatch.setattr(oracle, "numpy_agrees", lambda: True)
+        unguarded = run_batch(*args)
+    finally:
+        _philox.numpy_agrees.cache_clear()
+    assert 0 < block_resets < 20 * 150 // 10
+    for a, b in zip(block, guarded):
+        _assert_same_result(a, b)
+    assert any(a.err_norm.tobytes() != b.err_norm.tobytes()
+               for a, b in zip(block, unguarded))

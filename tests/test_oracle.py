@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from adagb2 import _philox, oracle
 from adagb2.errors import ConfigurationError
 from adagb2.oracle import (NOISE_MODELS, AffineGaussian, BoundedUniform,
                            ConstantBias, Exact, Gaussian, OracleStream,
-                           RelativeBias, Subsample, draw, empirical_rmse)
+                           RelativeBias, StreamRows, Subsample, draw,
+                           empirical_rmse)
 from adagb2.problem import Objective, make_test_problem
 
 PROB = make_test_problem("boxed_quadratic", 6, 0)
@@ -291,3 +293,131 @@ def test_draw_rejects_a_gradient_of_the_wrong_shape():
     obj = Objective(f=lambda x: 0.0, grad=lambda x: np.zeros(3), f_low=0.0)
     with pytest.raises(ValueError, match="does not match"):
         draw(obj, np.zeros((2, 3)), Exact(), [])
+
+
+# -- Block draws: Philox and the ziggurat's fast path over many counters --
+
+
+@pytest.fixture
+def fresh_guard():
+    """``numpy_agrees`` runs again in the test, and after it."""
+    _philox.numpy_agrees.cache_clear()
+    yield
+    _philox.numpy_agrees.cache_clear()
+
+
+def _numpy_normal(word):
+    """numpy's standard normal when ``word`` is its Philox's next uint64,
+    and whether it read that word alone."""
+    bg = np.random.Philox(key=np.array([3, 4], dtype=np.uint64))
+    state = bg.state
+    state["buffer"] = np.array([word, 0, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bg.state = state
+    x = np.random.Generator(bg).standard_normal()
+    after = bg.state
+    return x, bool(after["buffer_pos"] == 1 and np.array_equal(
+        after["state"]["counter"], state["state"]["counter"]))
+
+
+def _table_mismatches(ki, wi):
+    """Entries i where numpy's ziggurat disagrees with the tables: with
+    rabs = (r >> 9) & (2**52 - 1) and r & 0xFF = i, the fast path is taken
+    iff rabs < ki[i] and gives +-rabs * wi[i], the sign from bit 8."""
+    bad = set()
+    for i in range(256):
+        k = int(ki[i])
+        probes = [(k - 1, 0, True), (k, 0, False)]
+        if k > 1:
+            probes += [(1, 0, True), (1, 1, True)]
+        for rabs, sign, fast in probes:
+            if rabs < 0:
+                continue
+            x, one = _numpy_normal(i | sign << 8 | rabs << 9)
+            want = np.float64(rabs) * wi[i]
+            if one != fast or fast and (
+                    np.float64(-want if sign else want).tobytes()
+                    != np.float64(x).tobytes()):
+                bad.add(i)
+    return sorted(bad)
+
+
+def test_ziggurat_tables_match_numpy_at_every_threshold():
+    assert _table_mismatches(_philox._KI_TABLE, _philox._WI_TABLE) == []
+    assert _philox._KI_TABLE[1] == 0  # the one layer with no fast path
+
+
+def test_one_ulp_in_a_table_entry_is_found(fresh_guard, monkeypatch):
+    wi = _philox._WI_TABLE.copy()
+    wi[100] = np.nextafter(wi[100], np.inf)
+    assert _table_mismatches(_philox._KI_TABLE, wi) == [100]
+    assert _philox.numpy_agrees()
+    _philox.numpy_agrees.cache_clear()
+    monkeypatch.setattr(_philox, "_WI_TABLE", wi)
+    assert not _philox.numpy_agrees()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2**64 - 1, 2**64, 2**64 + 7, 2**100])
+def test_philox_blocks_match_random_raw(k):
+    # Ten words a row, from three counters: word 0 takes 1, 2 and 3.
+    streams = [OracleStream(5, r) for r in range(3)]
+    words = _philox.PhiloxBlocks([s._key for s in streams], 10, 4).words(k, 2)
+    assert words.shape == (2, 3, 10)
+    for j in range(2):
+        for r, stream in enumerate(streams):
+            raw = stream.rng(k + j).bit_generator.random_raw(10)
+            assert raw.tobytes() == words[j, r].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_block_normals_match_numpy(n, monkeypatch):
+    # Every (iteration, row) against a fresh generator, through blocks of
+    # 14 (n = 2) or 7 (n = 5) iterations and a partial last one.  Rows with
+    # a word off the fast path are reset and drawn by numpy, and only those.
+    monkeypatch.setattr(oracle, "BLOCK_COUNTERS", 7 * 6 * 2)
+    streams = [OracleStream(2, r) for r in range(6)]
+    calls = []
+    reset = OracleStream.rng_shared
+
+    def counted(stream, k):
+        calls.append((k, stream.replication))
+        return reset(stream, k)
+
+    monkeypatch.setattr(OracleStream, "rng_shared", counted)
+    rows, horizon = StreamRows(streams, n, 40), 40
+    slow = []
+    for k in range(horizon):
+        out = np.full((6, n), np.nan)
+        assert rows.at(k).block_normals(out)
+        for r, stream in enumerate(streams):
+            want = stream.rng(k).standard_normal(n)
+            assert out[r].tobytes() == want.tobytes(), (k, r)
+            words = stream.rng(k).bit_generator.random_raw(n)
+            if not _philox.fast_normals(words)[1].all():
+                slow.append((k, r))
+    assert calls == slow
+    assert 0 < len(slow) < 6 * horizon // 4
+
+
+@pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
+def test_draw_from_stream_rows_matches_fresh_generators(kind):
+    # The engine's rngs against one fresh generator per row, for every
+    # kind: the Gaussian-type models take block normals, the others draw
+    # per row.
+    model = EVERY_KIND[kind]
+    obj = make_test_problem("finite_sum_logistic", 4, 0).objective
+    reps = oracle.BLOCK_ROWS + 2
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (reps, 4))
+    streams = [OracleStream(11, r) for r in range(reps)]
+    rows = StreamRows(streams, 4, 30)
+    for k in range(30):
+        block = draw(obj, x, model, rows.at(k))
+        fresh = draw(obj, x, model, [s.rng(k) for s in streams])
+        assert block.g.tobytes() == fresh.g.tobytes()
+
+
+def test_block_path_scope():
+    # Where it measured faster: several rows, at most 16 normals a row.
+    assert oracle.block_length(1, 2) == 0
+    assert oracle.block_length(20, 17) == 0
+    assert oracle.block_length(20, 2) > 0
