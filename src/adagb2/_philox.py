@@ -10,7 +10,9 @@ ufuncs.  ``fast_normals`` maps each word to the normal that numpy's
 ``standard_normal`` makes of it when the word is on the fast path of its
 ziggurat (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000), and says
 whether it is; any other word leads numpy to draw more words.
-``numpy_agrees`` checks both against the installed numpy.
+``numpy_agrees`` checks both against the installed numpy.  ``mul_hi``, the
+high half of a 128-bit product from 32-bit halves, is also the core of
+``_format``'s decimal digits.
 """
 
 import functools
@@ -187,6 +189,30 @@ _LOW = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 
 
+def mul_hi(a, b_low, b_high, work):
+    """The high 64 bits of the 128-bit products a b of uint64 arrays, from
+    32-bit halves; b is given as its low and high halves.  ``work`` is six
+    uint64 arrays of the products' shape; the result is the last."""
+    al, ah, ll, lh, hl, hh = work
+    np.bitwise_and(a, _LOW, out=al)
+    np.right_shift(a, _32, out=ah)
+    np.multiply(al, b_low, out=ll)
+    np.multiply(al, b_high, out=lh)
+    np.multiply(ah, b_low, out=hl)
+    np.multiply(ah, b_high, out=hh)
+    # hi = hh + (t >> 32) + (u >> 32), where t = (ll >> 32) + lh and
+    # u = (t & LOW) + hl: neither sum can wrap.
+    ll >>= _32
+    ll += lh
+    np.bitwise_and(ll, _LOW, out=lh)
+    lh += hl
+    ll >>= _32
+    lh >>= _32
+    hh += ll
+    hh += lh
+    return hh
+
+
 class PhiloxBlocks:
     """The first n Philox4x64-10 words of each of R streams at each
     iteration k of a span: those of counters (b + 1, 0, k_lo, k_hi) for
@@ -232,22 +258,7 @@ class PhiloxBlocks:
         lo[1].reshape(lanes)[0] = k_hi  # the first round's p = (c3, c1)
         lo[1][1] = 0
         for i in range(10):
-            np.bitwise_and(a, _LOW, out=al)
-            np.right_shift(a, _32, out=ah)
-            np.multiply(al, m_low, out=ll)
-            np.multiply(al, m_high, out=lh)
-            np.multiply(ah, m_low, out=hl)
-            np.multiply(ah, m_high, out=hh)
-            # hi = hh + (t >> 32) + (u >> 32), where t = (ll >> 32) + lh
-            # and u = (t & LOW) + hl: neither sum can wrap.
-            ll >>= _32
-            ll += lh
-            np.bitwise_and(ll, _LOW, out=lh)
-            lh += hl
-            ll >>= _32
-            lh >>= _32
-            hh += ll
-            hh += lh
+            mul_hi(a, m_low, m_high, (al, ah, ll, lh, hl, hh))
             p = lo[(i + 1) % 2]  # the last round's lo
             np.multiply(a, m_, out=lo[i % 2])
             # (c0, c2) = (hi1 ^ c1, hi0 ^ c3) ^ key; the new p is (lo0, lo1).

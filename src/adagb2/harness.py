@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _format
 from .analysis import (Aggregate, ConstantsReport, aggregate_results,
                        compute_constants)
 from .curvature import CurvatureSpec
@@ -423,14 +424,12 @@ def _write_csv(path: str, header: Sequence[str], blocks) -> None:
     A block is a list of equal-length 1-D arrays, one per column of
     ``header``.  Integer columns print with ``%d`` and float columns with
     ``%.17g``, which reads back to the same double ("nan" for any NaN).
+    The rows are formatted in numpy, ``_format.CHUNK_ROWS`` at a time.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            template = ",".join("%.17g" if c.dtype.kind == "f" else "%d"
-                                for c in columns) + "\n"
-            fh.write("".join([template % row for row in
-                              zip(*(c.tolist() for c in columns))]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for columns in _format.chunks(blocks):
+            fh.write(_format.csv_lines(columns))
 
 
 def write_aggregate_csv(path: str, agg: Aggregate) -> None:

@@ -153,6 +153,9 @@ def _rosenbrock_hess_bound(x):
     return _value(rows.max(axis=-1))
 
 
+_SPECTRAL_NORMS = {}  # (dim, seed) -> ||features||_2 of finite_sum_logistic
+
+
 def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
     """Build a named test problem of the given dimension.
 
@@ -241,7 +244,12 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
         s = 1.0 / (1.0 + np.exp(-z))
         return (rows.T @ s) / len(indices)
 
-    spectral = float(np.linalg.norm(features, ord=2))
+    # The largest singular value, once per process for each (dim, seed):
+    # the SVD can stall for tens of ms when the BLAS threads wait for a core.
+    spectral = _SPECTRAL_NORMS.get((dim, seed))
+    if spectral is None:
+        spectral = float(np.linalg.norm(features, ord=2))
+        _SPECTRAL_NORMS[dim, seed] = spectral
     # sigma (1 - sigma) <= 1/4 bounds the Hessian A^T D A / m everywhere.
     lipschitz = spectral**2 / (4.0 * m)
     objective = Objective(

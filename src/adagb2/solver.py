@@ -93,12 +93,19 @@ class SolverState:
         return cls(x=x0, w=np.full(box.n, params.sigma), k=0)
 
 
+def _rows_all(a):
+    """``a.all(axis=-1)`` of a C-contiguous bool array, one comparison of
+    the bytes of each row rather than a reduction over a short axis."""
+    row = np.dtype((np.void, a.shape[-1]))
+    return a.view(row)[..., 0] == np.ones(a.shape[-1], bool).view(row)[0]
+
+
 def _vector_checks(x, x_raw, s, delta, box: BoundBox, kappa_s):
     """The feasible and step_bound monitors over the last axis of x + s."""
     tol = SLACK * (1.0 + np.abs(x))
     inside = (x_raw >= box.lower - tol) & (x_raw <= box.upper + tol)
-    return (inside.all(axis=-1),
-            (np.abs(s) <= kappa_s * delta + tol).all(axis=-1))
+    return (_rows_all(inside),
+            _rows_all(np.abs(s) <= kappa_s * delta + tol))
 
 
 def _tol(*values):
@@ -292,8 +299,11 @@ class _Histories:
         g, d, w, delta, s_l, s, x_raw, *g_true = self.vectors[:, :m]
         # s^T B s = gamma^2 s_L^T B s_L: s = gamma s_L for cauchy, and
         # sign_adagrad runs with B = 0, where s_L^T B s_L = +0.0 and gamma = 1.
-        inputs = (g_sl, np.vecdot(g, s), np.vecdot(g, gamma[..., None] * s_l),
-                  qf_sl, gamma * gamma * qf_sl,
+        # For cauchy, s is gamma s_L bit for bit, so g.s_Q is g.s.
+        g_s = np.vecdot(g, s)
+        g_sq = (g_s if params.step_mode == "cauchy"
+                else np.vecdot(g, gamma[..., None] * s_l))
+        inputs = (g_sl, g_s, g_sq, qf_sl, gamma * gamma * qf_sl,
                   (d * d / w).sum(axis=-1), np.vecdot(s_l, s_l),
                   np.vecdot(delta, delta))
         norm_d = np.sqrt(np.vecdot(d, d))
@@ -313,9 +323,9 @@ class _Histories:
             xi = norm_xi, norm_d, err
         bad = ~np.stack(_monitor_checks(
             inputs, *_vector_checks(x, x_raw, s, delta, box, params.kappa_s),
-            gamma, xi, kappa_b, params), axis=-1)  # (m, R, monitors)
-        self.failed += bad.sum(axis=0)
-        self.violation_count[block] = bad.sum(axis=-1).T
+            gamma, xi, kappa_b, params))  # (monitors, m, R)
+        self.failed += bad.sum(axis=1).T
+        self.violation_count[block] = bad.sum(axis=0).T
         if m == self.length:
             self.x[0] = self.x[m]
 

@@ -4,8 +4,9 @@ Every configuration of 4 problem families x every oracle x 4 curvature
 providers x diagnostics on and off (R=3, 300 iterations), plus the
 ``sign_adagrad`` step on each family, is run and hashed: each history's
 bytes, the violation counts, ``event_a`` and the final ``x`` and ``w`` of
-every replication.  A few ``adagb2 mc`` runs hash their output files.  The
-digests are compared with ``golden_digests.json``.
+every replication.  A few R=5 runs pin the block draw path of the
+Gaussian-type oracles the same way.  A few ``adagb2 mc`` runs hash their
+output files.  The digests are compared with ``golden_digests.json``.
 
 The bits depend on numpy (its Philox stream, its normal sampler, its SIMD
 ``exp``/``log`` and reduction kernels), so the file records the numpy
@@ -113,6 +114,29 @@ def _configs():
                    diagnostics)
 
 
+# Runs of R=5, above oracle.BLOCK_ROWS, so that their normals come from
+# the block path (``oracle.StreamRows.block_normals``), with diagnostics.
+BLOCK_FAMILIES = ("boxed_quadratic", "boxed_rosenbrock")
+BLOCK_ORACLES = {
+    "affine_gaussian": ORACLES["affine_gaussian"],
+    "constant_bias": ORACLES["constant_bias"],
+    "relative_bias": {"kind": "relative_bias", "rho": 0.1,
+                      "inner": {"kind": "gaussian", "sigma": 0.05}},
+}
+
+
+def _block_configs():
+    """(name, config dict) of every R=5 run."""
+    for family in BLOCK_FAMILIES:
+        for oracle, model in BLOCK_ORACLES.items():
+            yield (f"block_r5/{family}/{oracle}", {
+                "problem": {"name": family, "dim": 3, "seed": 1},
+                "oracle": model,
+                "curvature": {"kind": "scalar_bb", "kappa_b": 16.0},
+                "run": {"horizon": 300, "replications": 5, "base_seed": 5},
+            })
+
+
 def _run_digest(results) -> str:
     h = hashlib.sha256()
     for res in results:
@@ -137,6 +161,9 @@ def run_digests() -> dict:
                     "diagnostics": diagnostics},
         })
         digests[name] = _run_digest(run_experiment(config).results)
+    for name, data in _block_configs():
+        digests[name] = _run_digest(
+            run_experiment(ExperimentConfig.from_dict(data)).results)
     return digests
 
 

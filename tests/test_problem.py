@@ -192,3 +192,28 @@ def test_f_stack_matches_lone_points(name):
     stack = obj.f(x)
     assert stack.shape == (7, 3)
     assert stack.tobytes() == lone.reshape(7, 3).tobytes()
+
+
+def test_logistic_lipschitz_is_computed_once_per_dim_and_seed(monkeypatch):
+    # The spectral norm of the logistic data is memoized per (dim, seed):
+    # a second build takes the same bits without another SVD.
+    from adagb2 import problem
+
+    monkeypatch.setattr(problem, "_SPECTRAL_NORMS", {})
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("ord"))
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    first = make_test_problem("finite_sum_logistic", 6, 11).objective.lipschitz
+    again = make_test_problem("finite_sum_logistic", 6, 11).objective.lipschitz
+    other = make_test_problem("finite_sum_logistic", 6, 12).objective.lipschitz
+    assert calls == [2, 2]  # one SVD for (6, 11), one for (6, 12)
+    assert np.float64(again).tobytes() == np.float64(first).tobytes()
+    assert other != first
+    features = np.random.default_rng(
+        np.random.SeedSequence((0xAD46, 11))).standard_normal((24, 6))
+    assert first == norm(features, ord=2) ** 2 / (4.0 * 24)
