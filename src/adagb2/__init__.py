@@ -12,8 +12,7 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .analysis import (ConstantsReport, chatzigeorgiou_bound,
                        compute_constants, counterexample_closed_form,
                        counterexample_simulate, lambert_w_minus1,
-                       lemma_lambert_check, lemma_magical_check,
-                       scenario_classifier, true_criticality)
+                       lemma_lambert_check, lemma_magical_check)
 from .curvature import CURVATURE_KINDS, CurvatureSpec, make_provider
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, project_box, project_box_cap_trust
@@ -22,8 +21,7 @@ from .harness import (Aggregate, ExperimentConfig, ExperimentResult,
                       run_experiment, verify_deterministic_bound,
                       write_experiment_outputs)
 from .oracle import (AffineGaussian, BoundedUniform, ConstantBias, Exact,
-                     Gaussian, OracleStream, RelativeBias, Subsample,
-                     empirical_rmse)
+                     Gaussian, OracleStream, RelativeBias, Subsample)
 from .problem import (Objective, PROBLEM_NAMES, TestProblem,
                       check_smoothness, make_test_problem, quadratic_problem)
 from .solver import (MONITORS, STEP_MODES, RunResult, SolverParams,
@@ -37,13 +35,13 @@ __all__ = [
     "ConstantsReport", "CurvatureSpec", "Exact", "ExperimentConfig",
     "ExperimentResult", "Gaussian", "KERNEL_BACKEND", "MONITORS",
     "NumericalError", "Objective", "OracleStream", "PROBLEM_NAMES",
-    "RelativeBias", "RunResult", "STEP_MODES", "SolverParams", "SolverState",
-    "Subsample", "TestProblem", "aggregate_results", "chatzigeorgiou_bound",
-    "check_smoothness", "compute_constants", "counterexample_closed_form",
-    "counterexample_simulate", "empirical_rmse", "fit_rate",
+    "RelativeBias", "RunResult", "STEP_MODES", "SolverParams",
+    "SolverState", "Subsample", "TestProblem", "aggregate_results",
+    "chatzigeorgiou_bound", "check_smoothness", "compute_constants",
+    "counterexample_closed_form", "counterexample_simulate", "fit_rate",
     "lambert_w_minus1", "lemma_lambert_check", "lemma_magical_check",
     "make_provider", "make_test_problem", "markov_complexity_report",
     "project_box", "project_box_cap_trust", "quadratic_problem", "run",
-    "run_batch", "run_experiment", "scenario_classifier", "true_criticality",
-    "verify_deterministic_bound", "write_experiment_outputs",
+    "run_batch", "run_experiment", "verify_deterministic_bound",
+    "write_experiment_outputs",
 ]

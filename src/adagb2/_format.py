@@ -24,16 +24,16 @@ values of a typical trace, each of them a different way to the same bytes.
 
 The 128-bit product is ``_philox.mul_hi``, the helper of ``PhiloxBlocks``.
 
-A chunk of rows is laid out as a (rows, slots) byte matrix, each column a
-field of fixed width, with a mask of the slots each row uses; the text is
-the masked bytes in row order.  numpy copies a masked run of bytes at a
-time, so each field holds its text as one run.  A float's 17 digits start
-at a fixed slot, right after its sign, "0." and leading zeros (one item
-from a table); the digits after its point move on by one slot; ``%g``
-strips trailing zeros and a bare point, so the text ends after the last
-nonzero digit, or after the point's digit, and the exponent and the
-separator follow.  An integer's digits end at its separator.  A column
-whose values are bit-equal is formatted once.
+A chunk of rows is laid out as a (rows, slots) byte matrix over a zeroed
+buffer, each column a field of fixed width, and every slot a row does not
+use holds NUL; the text is the buffer with its NUL bytes deleted
+(``bytearray.translate``).  A float's 17 digits start at a fixed slot, right
+after its sign, "0." and leading zeros (one NUL-padded item from a
+table); the digits after its point move on by one slot; ``%g`` strips
+trailing zeros and a bare point, so the digits past the kept count are
+zeroed; the exponent and the separator sit at fixed slots after them.  An
+integer's digits end at its separator, and its leading zeros are zeroed.
+A column whose values are bit-equal is formatted once.
 """
 
 import functools
@@ -42,7 +42,7 @@ import numpy as np
 
 from ._philox import mul_hi
 
-CHUNK_ROWS = 8192  # rows formatted at once: bounds the matrices' memory
+CHUNK_ROWS = 8192  # rows formatted at once: bounds the byte matrix
 
 _U = np.uint64
 _P16, _P17 = _U(10**16), _U(10**17)
@@ -95,44 +95,32 @@ def _digits4():
 @functools.cache
 def _float_tables():
     """For a float field: by (notation, sign), the sign, "0." and zeros
-    right-aligned in _PREFIX slots as one item, and the slot they start
-    at; by notation, the digit the point follows (17 for none); by that
-    digit, the masks of the digits up to it as 17-slot items; by
-    (notation, last nonzero digit), the slot the number ends at; the
-    exponent text "e-05" to "e+308" of E = -999 to 999 as rows of 5
-    bytes."""
-    prefixes, starts, points, ends = [], [], [], []
+    right-aligned in _PREFIX NUL-padded slots as one item; by notation,
+    the digit the point follows (17 for none); by (notation, last nonzero
+    digit), the count of digit slots (the point among them) the number
+    keeps; by a count c of 0 to 18, the mask of the first c of 18 slots
+    as one item; the exponent text "e-05" to "e+308" of E = -999 to
+    999, NUL-padded, as rows of 5 bytes."""
+    prefixes, points, kept = [], [], []
     for notation in range(_NOTATIONS):
         e = notation - 4
         lead = "0." + "0" * (-e - 1) if e < 0 else ""
         for sign in "", "-":
-            prefixes.append((sign + lead).rjust(_PREFIX).encode())
-            starts.append(_PREFIX - len(sign + lead))
+            prefixes.append((sign + lead).rjust(_PREFIX, "\0").encode())
         point = 17 if e < 0 else 0 if notation >= _EXPONENTIAL else e
         points.append(point)
         for last in range(17):
-            n = last + 1 if e < 0 else max(last, point) + 1 + (last > point)
-            if notation >= _EXPONENTIAL:
-                n += 4 + (notation > _EXPONENTIAL)  # e+XX[X]
-            ends.append(_PREFIX + n)
+            kept.append(last + 1 if e < 0
+                        else max(last, point) + 1 + (last > point))
     prefixes = np.frombuffer(b"".join(prefixes),
                              dtype=np.dtype((np.void, _PREFIX)))
-    before = np.arange(17) <= np.arange(18)[:, None]
-    exponents = np.frombuffer(
-        "".join(f"e{e:+03d}".ljust(5) for e in range(-999, 1000)).encode(),
+    first = np.arange(18) < np.arange(19)[:, None]
+    exponents = np.frombuffer("".join(
+        f"e{e:+03d}".ljust(5, "\0") for e in range(-999, 1000)).encode(),
         dtype=np.uint8).reshape(-1, 5)
-    return (prefixes, np.array(starts), np.array(points),
-            before.view(np.dtype((np.void, 17)))[:, 0], np.array(ends),
+    return (prefixes, np.array(points),
+            np.array(kept), first.view(np.dtype((np.void, 18)))[:, 0],
             exponents)
-
-
-@functools.cache
-def _spans(width):
-    """``width`` bools as one item each: item start * (width + 1) + end
-    has slots start to end - 1 set."""
-    slots, n = np.arange(width), np.arange(width + 1)
-    used = (slots >= n[:, None, None]) & (slots < n[None, :, None])
-    return used.reshape(-1, width).view(np.dtype((np.void, width)))[:, 0]
 
 
 def _groups(values, count):
@@ -180,16 +168,16 @@ def _digits17(x):
     return d, e10, ok
 
 
-def _float_field(x, chars, used, separator):
+def _float_field(x, chars, separator):
     """Write ``'%.17g' % v`` and ``separator`` for each v of ``x`` into the
-    rows of ``chars``; mark their slots in ``used``.
+    rows of ``chars``, NUL in the slots a row does not use.
 
-    The digits start at slot _PREFIX; the sign, "0." and leading zeros
-    come right before them, the point among them, the exponent and the
-    separator right after them.
+    The digits start at slot _PREFIX, the sign, "0." and leading zeros
+    right before them and the point among them; the exponent and the
+    separator end the field.
     """
     digits4, zeros4 = _digits4()
-    prefixes, starts, points, before, ends, exponents = _float_tables()
+    prefixes, points, kept, first, exponents = _float_tables()
     d, e10, ok = _digits17(x)
     parts = _groups(d, 5)
     digits = digits4.take(parts).view(np.uint8)  # d_i is byte 3 + i
@@ -204,36 +192,31 @@ def _float_field(x, chars, used, separator):
     notation = np.where(fixed, e10 + 4, _EXPONENTIAL + (np.abs(e10) >= 100))
     key = notation * 2 + (x.view(np.uint64) >> _U(63)).view(np.int64)
     chars[:, :_PREFIX].view(prefixes.dtype)[:, 0] = prefixes.take(key)
-    chars[:, _PREFIX:_PREFIX + 17] = digits[:, 3:]
+    number = chars[:, _PREFIX:_PREFIX + 18]
+    number[:, :17] = digits[:, 3:]
     point = points.take(notation)
     pointed = (point < 17).nonzero()[0]
     if pointed.size:  # the digits after the point move on by one slot
         point, shifted = point[pointed], digits[pointed, 2:]
         text = shifted.copy()  # digit j - 1 in slot j
-        np.copyto(text[:, :17], shifted[:, 1:], where=before.take(
-            point).view(bool).reshape(-1, 17))
+        np.copyto(text[:, :17], shifted[:, 1:], where=first.take(
+            point + 1).view(bool).reshape(-1, 18)[:, :17])
         text[np.arange(len(pointed)), point + 1] = ord(".")
-        chars[pointed, _PREFIX:_PREFIX + 18] = text
-    start = starts.take(key)
-    end = ends.take(notation * 17 + 16 - trailing)
+        number[pointed] = text
+    # The digits %g strips, to NUL.
+    count = kept.take(notation * 17 + 16 - trailing)
+    np.multiply(number, first.take(count).view(bool).reshape(-1, 18),
+                out=number)
     exponential = (~fixed).nonzero()[0]
-    if exponential.size:  # "e+XX" ends the text
-        at = end[exponential] - 4 - (notation[exponential] > _EXPONENTIAL)
-        chars[exponential[:, None], at[:, None] + np.arange(5)] = exponents[
-            e10[exponential] + 999]
+    if exponential.size:
+        chars[exponential, _PREFIX + 18:-1] = exponents[e10[exponential] + 999]
     left = (~ok).nonzero()[0]
     if left.size:  # to %, the whole text from slot 0
-        text = ["%.17g" % v for v in x[left].tolist()]
-        width = max(map(len, text))
-        chars[left, :width] = np.frombuffer(
-            "".join(t.ljust(width) for t in text).encode(),
-            dtype=np.uint8).reshape(-1, width)
-        start[left] = 0
-        end[left] = [len(t) for t in text]
-    chars[np.arange(len(x)), end] = separator
-    spans = _spans(_FLOAT_WIDTH)
-    used.view(spans.dtype)[:, 0] = spans.take(
-        start * (_FLOAT_WIDTH + 1) + end + 1)
+        chars[left, :-1] = np.frombuffer("".join(
+            ("%.17g" % v).ljust(_FLOAT_WIDTH - 1, "\0")
+            for v in x[left].tolist()).encode(), dtype=np.uint8).reshape(
+                -1, _FLOAT_WIDTH - 1)
+    chars[:, -1] = separator
 
 
 def _magnitudes(v):
@@ -251,20 +234,19 @@ def _int_width(magnitude):
     return 2 + 4 * -(-len(str(magnitude.max())) // 4)
 
 
-def _int_field(magnitude, negative, chars, used, separator):
+def _int_field(magnitude, negative, chars, separator):
     """Write ``'%d' % v`` and ``separator`` for each v of ``magnitude`` and
-    ``negative``, right-aligned, into the rows of ``chars``; mark their
-    slots in ``used``."""
+    ``negative``, right-aligned, into the rows of ``chars``, NUL in the
+    slots a row does not use."""
     width = chars.shape[1]
     chars[:, 1:-1] = _digits4()[0].take(
         _groups(magnitude, (width - 2) // 4)).view(np.uint8)
     chars[:, -1] = separator
     count = np.searchsorted(_POW10, magnitude, side="right") + 1
+    start = width - 1 - count  # the slot of the first digit
+    np.multiply(chars, np.arange(width) >= start[:, None], out=chars)
     rows = negative.nonzero()[0]
-    chars[rows, width - 2 - count[rows]] = ord("-")
-    spans = _spans(width)
-    used.view(spans.dtype)[:, 0] = spans.take(
-        (width - 1 - count - negative) * (width + 1) + width)
+    chars[rows, start[rows] - 1] = ord("-")
 
 
 def csv_lines(columns):
@@ -286,19 +268,17 @@ def csv_lines(columns):
             fields.append((_int_field, (magnitude, negative),
                            _int_width(magnitude), (col == col[0]).all()))
     rows = len(columns[0])
-    chars = np.empty((rows, sum(f[2] for f in fields)), np.uint8)
-    used = np.empty(chars.shape, bool)
+    buf = bytearray(rows * sum(f[2] for f in fields))
+    chars = np.frombuffer(buf, np.uint8).reshape(rows, -1)
     at = 0
     for i, (write, values, width, repeated) in enumerate(fields):
         some = slice(0, 1) if repeated else slice(None)
-        place = np.s_[some, at:at + width]
-        write(*(v[some] for v in values), chars[place], used[place],
+        write(*(v[some] for v in values), chars[some, at:at + width],
               ord("\n") if i == len(fields) - 1 else ord(","))
         if repeated:  # the first row's text for all
             chars[1:, at:at + width] = chars[0, at:at + width]
-            used[1:, at:at + width] = used[0, at:at + width]
         at += width
-    return chars[used]
+    return np.frombuffer(buf.translate(None, b"\0"), np.uint8)
 
 
 def chunks(blocks, size=CHUNK_ROWS):

@@ -1,12 +1,11 @@
 """Criticality measures, complexity constants and lemma-level oracles.
 
 Everything here is pure computation over problem data or collected run
-histories: the per-iteration statistics over replications and the
-scenario report drawn from them, the true projected-gradient criticality
-measure, the lower real branch of the Lambert function, the complexity
-constant of the convergence bound, the two technical lemmas used by its
-proof, and the one-dimensional counterexample showing that unbiasedness
-alone does not make the approximate and true measures coherent.
+histories: the per-iteration statistics over replications, the lower real
+branch of the Lambert function, the complexity constant of the
+convergence bound, the two technical lemmas used by its proof, and the
+one-dimensional counterexample showing that unbiasedness alone does not
+make the approximate and true measures coherent.
 """
 
 import math
@@ -15,15 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoundBox, project_box
-from .problem import Objective
 from .solver import RunResult, running_mean
-
-
-def true_criticality(obj: Objective, x, box: BoundBox) -> float:
-    """||P_F(x - G(x)) - x||; reduces to ||G(x)|| without bounds."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.linalg.norm(project_box(x - obj.grad(x), box) - x))
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +288,6 @@ class Aggregate:
                 for name in self.COLUMNS}
 
 
-def _selected(results: Sequence[RunResult]) -> list:
-    """The replications with the iteration-zero event ||d_0||^2 >= sigma,
-    or all of them when none has it."""
-    if not results:
-        raise ValueError("need at least one replication")
-    return [r for r in results if r.event_a] or list(results)
-
-
 def aggregate_results(results: Sequence[RunResult]) -> Aggregate:
     """Merge replications (in index order) into per-iteration statistics.
 
@@ -312,7 +295,9 @@ def aggregate_results(results: Sequence[RunResult]) -> Aggregate:
     when at least one replication satisfies it, mirroring the conditioning of
     the stochastic theory; p_A is always the unconditional fraction.
     """
-    selected = _selected(results)
+    if not results:
+        raise ValueError("need at least one replication")
+    selected = [r for r in results if r.event_a] or list(results)
     p_a = float(np.mean([r.event_a for r in results]))
     horizon = selected[0].horizon
     if any(r.horizon != horizon for r in selected):
@@ -344,63 +329,4 @@ def aggregate_results(results: Sequence[RunResult]) -> Aggregate:
         p_a=p_a,
         violations=viol,
         reps_used=reps,
-    )
-
-
-@dataclass(frozen=True)
-class ScenarioReport:
-    coherence_ratio: np.ndarray  # mean||Xi|| / mean||d|| per iteration
-    err_ratio: np.ndarray        # mean||g - G|| / mean||d|| per iteration
-    kappa_gg_sq_diag: float      # mean|<G-g, s>| / mean||s||^2
-    beta: np.ndarray             # running average of mean||g - G||
-    scenario: str
-    flags: dict
-
-
-def _tail_head_growth(ratio: np.ndarray) -> float:
-    valid = ratio[np.isfinite(ratio)]
-    if valid.size < 10:
-        return 1.0
-    # Short head window: a drifting ratio should be compared against its
-    # early value, before any bias-induced stall kicks in.
-    head = float(np.median(valid[: min(50, max(1, valid.size // 10))]))
-    tail = float(np.median(valid[-max(1, valid.size // 10):]))
-    if head <= 0.0:
-        return math.inf if tail > 0 else 1.0
-    return tail / head
-
-
-def scenario_classifier(results: Sequence[RunResult],
-                        growth_cutoff: float = 3.0) -> ScenarioReport:
-    """Descriptive classification of a batch of replications.
-
-    Reports the per-iteration measure-coherence and error ratios plus the
-    directional-error diagnostic, and flags which convergence scenario
-    (coherently distributed / controlled error / general) the data looks
-    consistent with.  This is a trend report, not a statistical test.  The
-    replications are those ``aggregate_results`` conditions on.
-    """
-    agg = aggregate_results(results)
-    selected = _selected(results)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coherence = agg.mean_norm_xi / agg.mean_norm_d
-        err_ratio = agg.mean_err / agg.mean_norm_d
-    total_dir = float(np.nansum([np.nansum(r.dir_err) for r in selected]))
-    total_sq = float(np.sum([np.sum(r.step_sq) for r in selected]))
-    kappa_gg_sq = total_dir / total_sq if total_sq > 0 else 0.0
-
-    coherent = _tail_head_growth(coherence) < growth_cutoff
-    controlled = _tail_head_growth(err_ratio) < growth_cutoff
-    if coherent:
-        scenario = "coherently_distributed"
-    elif controlled:
-        scenario = "controlled_error"
-    else:
-        scenario = "general"
-    return ScenarioReport(
-        coherence_ratio=coherence, err_ratio=err_ratio,
-        kappa_gg_sq_diag=kappa_gg_sq, beta=running_mean(agg.mean_err),
-        scenario=scenario,
-        flags={"coherently_distributed": coherent,
-               "controlled_error": controlled},
     )

@@ -24,7 +24,7 @@ from .harness import (ExperimentConfig, fit_rate, markov_complexity_report,
                       run_experiment, theory_constants,
                       verify_deterministic_bound, write_experiment_outputs,
                       write_summary_json)
-from .problem import PROBLEM_NAMES, make_test_problem
+from .problem import PROBLEM_NAMES, check_smoothness, make_test_problem
 from .solver import SolverParams
 
 
@@ -278,6 +278,21 @@ def _check_hess_bound(seed) -> bool:
     return True
 
 
+def _check_lipschitz_sampled(seed) -> bool:
+    """No sampled ||G(x) - G(y)|| / ||x - y|| exceeds the Lipschitz constant
+    a family declares, at n = 2, 5 and 10.  A sample can refute the
+    constant, not certify it."""
+    for name in PROBLEM_NAMES:
+        for n in (2, 5, 10):
+            prob = make_test_problem(name, n, seed)
+            if prob.objective.lipschitz is None:
+                continue
+            report = check_smoothness(prob.objective, prob.box, 2000, seed)
+            if not report.within_bound:
+                return False
+    return True
+
+
 def _check_constants_order(seed) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -303,6 +318,7 @@ _CHECKS = (
     ("lemma_lambert", _check_lemma_lambert),
     ("projection_properties", _check_projections),
     ("hess_bound_certified", _check_hess_bound),
+    ("lipschitz_sampled", _check_lipschitz_sampled),
     ("constants_ordering", _check_constants_order),
 )
 

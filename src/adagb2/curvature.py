@@ -24,7 +24,7 @@ CURVATURE_KINDS = ("zero", "exact_clipped", "scalar_bb", "diagonal_fd")
 
 @dataclass(frozen=True)
 class CurvatureSpec:
-    kind: str
+    kind: str = "zero"
     kappa_b: float = 1.0
 
     def __post_init__(self):

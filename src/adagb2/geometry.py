@@ -56,10 +56,6 @@ class BoundBox:
     def unbounded(cls, n: int) -> "BoundBox":
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
 
-    @property
-    def is_unbounded(self) -> bool:
-        return bool(np.isinf(self.lower).all() and np.isinf(self.upper).all())
-
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=np.float64)
         return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())

@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,8 +32,6 @@ from .solver import (MONITORS, RunResult, SolverParams, SolverState, run,
 # Configuration
 # ---------------------------------------------------------------------------
 
-
-_REQUIRED = object()
 
 # The JSON types each config kind takes.  bool is a subclass of int, so a
 # bool is taken only where a bool is asked for.
@@ -64,9 +62,9 @@ class _Section:
         self.name = name
         self.data = dict(data)
 
-    def take(self, key, kind, default=_REQUIRED):
+    def take(self, key, kind, default=MISSING):
         if key not in self.data:
-            if default is _REQUIRED:
+            if default is MISSING:
                 raise ConfigurationError(f"{self.name}.{key}: required")
             return default
         return _typed(f"{self.name}.{key}", kind, self.data.pop(key))
@@ -83,6 +81,26 @@ def _floats(where: str, values: list) -> tuple:
                  for i, v in enumerate(values))
 
 
+def _from_section(sec: _Section, cls):
+    """A ``cls`` from the keys of ``sec``, one per field of ``cls``, each
+    read as its field's type; a field with a default may be left out."""
+    values = {}
+    for f in fields(cls):
+        where = f"{sec.name}.{f.name}"
+        if f.type is NoiseModel:
+            values[f.name] = _parse_oracle(where, sec.take(f.name, dict))
+        elif f.type is np.ndarray:
+            values[f.name] = np.array(_floats(where, sec.take(f.name, list)))
+        else:
+            values[f.name] = sec.take(f.name, f.type, f.default)
+    try:
+        built = cls(**values)
+    except ValueError as exc:
+        raise ConfigurationError(f"{sec.name}: {exc}") from exc
+    sec.finish()
+    return built
+
+
 def _parse_oracle(name: str, data: dict) -> NoiseModel:
     """The noise model of ``NOISE_MODELS[kind]``, one config key per field."""
     sec = _Section(name, data)
@@ -91,21 +109,7 @@ def _parse_oracle(name: str, data: dict) -> NoiseModel:
         raise ConfigurationError(
             f"{name}.kind: unknown oracle {kind!r}; choose from "
             f"{tuple(NOISE_MODELS)}")
-    values = {}
-    for f in fields(NOISE_MODELS[kind]):
-        where = f"{name}.{f.name}"
-        if f.type is NoiseModel:
-            values[f.name] = _parse_oracle(where, sec.take(f.name, dict))
-        elif f.type is np.ndarray:
-            values[f.name] = np.array(_floats(where, sec.take(f.name, list)))
-        else:
-            values[f.name] = sec.take(f.name, f.type)
-    try:
-        model = NOISE_MODELS[kind](**values)
-    except ValueError as exc:
-        raise ConfigurationError(f"{name}: {exc}") from exc
-    sec.finish()
-    return model
+    return _from_section(sec, NOISE_MODELS[kind])
 
 
 @dataclass(frozen=True)
@@ -155,25 +159,10 @@ class ExperimentConfig:
 
         oracle = _parse_oracle("oracle", data.get("oracle", {"kind": "exact"}))
 
-        csec = _Section("curvature", data.get("curvature", {}))
-        try:
-            curvature = CurvatureSpec(csec.take("kind", str, "zero"),
-                                      csec.take("kappa_b", float, 1.0))
-        except ValueError as exc:
-            raise ConfigurationError(f"curvature: {exc}") from exc
-        csec.finish()
-
-        ssec = _Section("solver", data.get("solver", {}))
-        try:
-            solver = SolverParams(
-                sigma=ssec.take("sigma", float, 0.01),
-                tau=ssec.take("tau", float, 1.0),
-                kappa_s=ssec.take("kappa_s", float, 1.0),
-                step_mode=ssec.take("step_mode", str, "cauchy"),
-            )
-        except ValueError as exc:
-            raise ConfigurationError(f"solver: {exc}") from exc
-        ssec.finish()
+        curvature = _from_section(
+            _Section("curvature", data.get("curvature", {})), CurvatureSpec)
+        solver = _from_section(_Section("solver", data.get("solver", {})),
+                               SolverParams)
 
         rsec = _Section("run", data.get("run", {}))
         horizon = rsec.take("horizon", int)

@@ -365,16 +365,3 @@ def draw(obj: Objective, x, model: NoiseModel, rngs,
     model.sample(obj, x, rngs, g_true, g)
     return OracleDraw(g, g_true if with_true else None)
 
-
-def empirical_rmse(obj: Objective, x, model, draws: int, seed: int) -> float:
-    """sqrt(mean ||g - G||^2) over independent draws at a fixed point."""
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    model.validate(obj, x.shape[-1])
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x535E)))
-    # One draw for all: the one generator, repeated per row, makes the
-    # draws a loop of single draws would make, in the same order.
-    od = draw(obj, np.tile(x, (draws, 1)), model, [rng] * draws)
-    errs = od.g - od.g_true
-    return float(np.sqrt(np.mean(np.sum(errs * errs, axis=1))))

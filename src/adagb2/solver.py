@@ -85,12 +85,11 @@ class SolverParams:
 class SolverState:
     x: np.ndarray
     w: np.ndarray
-    k: int = 0
 
     @classmethod
     def initial(cls, x_ini, box: BoundBox, params: SolverParams) -> "SolverState":
         x0 = project_box(np.asarray(x_ini, dtype=np.float64), box)
-        return cls(x=x0, w=np.full(box.n, params.sigma), k=0)
+        return cls(x=x0, w=np.full(box.n, params.sigma))
 
 
 def _rows_all(a):
@@ -208,7 +207,6 @@ class RunResult:
     err_norm: np.ndarray
     gamma: np.ndarray
     f_values: np.ndarray
-    dir_err: np.ndarray  # |<G - g, s>| per iteration (directional-error diagnostic)
     step_sq: np.ndarray  # ||s||^2 per iteration
     violations: dict
     violation_count: np.ndarray  # failed monitors per iteration
@@ -319,7 +317,6 @@ class _Histories:
             norm_xi, err = np.sqrt(np.vecdot(xi_k, xi_k)), np.sqrt(np.vecdot(e, e))
             self.norm_xi[block] = norm_xi.T
             self.err_norm[block] = err.T
-            self.dir_err[block] = np.abs(np.vecdot(g_true - g, s)).T
             xi = norm_xi, norm_d, err
         bad = ~np.stack(_monitor_checks(
             inputs, *_vector_checks(x, x_raw, s, delta, box, params.kappa_s),
@@ -425,5 +422,5 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     x, w = x.copy(), w.copy()  # not views of the block buffer
     # Python's float power, which can round apart from v * v in the last bit.
     event_a = [float(v) ** 2 >= params.sigma for v in hist.norm_d[:, 0]]
-    return [hist.result(r, event_a[r], SolverState(x=x[r], w=w[r], k=horizon))
+    return [hist.result(r, event_a[r], SolverState(x=x[r], w=w[r]))
             for r in range(reps)]

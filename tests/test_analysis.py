@@ -6,11 +6,10 @@ import pytest
 from adagb2.analysis import (chatzigeorgiou_bound, compute_constants,
                              counterexample_closed_form,
                              counterexample_simulate, lambert_w_minus1,
-                             lemma_lambert_check, lemma_magical_check,
-                             scenario_classifier, true_criticality)
+                             lemma_lambert_check, lemma_magical_check)
 from adagb2.curvature import CurvatureSpec
-from adagb2.geometry import BoundBox
-from adagb2.oracle import ConstantBias, Exact, Gaussian
+from adagb2.geometry import project_box
+from adagb2.oracle import Exact
 from adagb2.problem import make_test_problem
 from adagb2.solver import SolverParams, run
 
@@ -183,6 +182,11 @@ def test_counterexample_validation():
         counterexample_simulate([1], reps=0, seed=0)
 
 
+def true_criticality(obj, x, box) -> float:
+    """||P_F(x - G(x)) - x||, the true criticality measure at x."""
+    return float(np.linalg.norm(project_box(x - obj.grad(x), box) - x))
+
+
 def test_true_criticality_matches_run_history():
     prob = make_test_problem("boxed_quadratic", 3, 0)
     res = run(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 5,
@@ -190,38 +194,3 @@ def test_true_criticality_matches_run_history():
     x0 = prob.x_ini  # already feasible for this family
     assert true_criticality(prob.objective, x0, prob.box) == pytest.approx(
         res.norm_xi[0], rel=1e-12)
-
-
-def test_true_criticality_unbounded_is_gradient_norm():
-    prob = make_test_problem("boxed_quadratic", 4, 0)
-    box = BoundBox.unbounded(4)
-    x = np.full(4, 0.3)
-    assert true_criticality(prob.objective, x, box) == pytest.approx(
-        float(np.linalg.norm(prob.objective.grad(x))), rel=1e-14)
-
-
-def test_scenario_classifier_exact_oracle_is_coherent():
-    prob = make_test_problem("boxed_quadratic", 4, 0)
-    results = [run(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 300,
-                   base_seed=0, replication=r) for r in range(3)]
-    rep = scenario_classifier(results)
-    assert rep.scenario == "coherently_distributed"
-    assert np.allclose(rep.coherence_ratio[np.isfinite(rep.coherence_ratio)],
-                       1.0, rtol=1e-9)
-    assert rep.kappa_gg_sq_diag == 0.0
-
-
-def test_scenario_classifier_biased_oracle_departs():
-    prob = make_test_problem("boxed_quadratic", 4, 0)
-    model = ConstantBias(np.full(4, 0.1), Gaussian(0.01))
-    results = [run(prob, model, CurvatureSpec("zero"), SolverParams(), 3000,
-                   base_seed=0, replication=r) for r in range(3)]
-    rep = scenario_classifier(results)
-    # the iterates stall where d ~ 0 but Xi ~ ||b||: coherence blows up
-    assert not rep.flags["coherently_distributed"]
-    assert rep.beta[-1] > 0.0
-
-
-def test_scenario_classifier_needs_results():
-    with pytest.raises(ValueError):
-        scenario_classifier([])

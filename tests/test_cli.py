@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from adagb2 import solver
+from adagb2 import cli, solver
 from adagb2.cli import cli_main
 
 CONFIG = {
@@ -227,7 +228,29 @@ def test_check_subcommand(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
+    assert "PASS lipschitz_sampled" in out
+
+
+def test_check_refutes_an_understated_lipschitz_constant(capsys,
+                                                         monkeypatch):
+    # The quartic's gradient x^3 - x has Lipschitz constant 11 on [-2, 2];
+    # the sampled ratios at n = 2 reach 8.7, above a declared 5.
+    make = cli.make_test_problem
+
+    def understated(name, dim, seed):
+        prob = make(name, dim, seed)
+        if name != "boxed_nonconvex_quartic":
+            return prob
+        return dataclasses.replace(prob, objective=dataclasses.replace(
+            prob.objective, lipschitz=5.0))
+
+    monkeypatch.setattr(cli, "make_test_problem", understated)
+    code = cli_main(["check", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL lipschitz_sampled" in out
+    assert out.count("FAIL") == 1
 
 
 def test_verify_deterministic(capsys):

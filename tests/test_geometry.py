@@ -9,7 +9,6 @@ from adagb2.geometry import BoundBox, project_box, project_box_cap_trust
 def test_box_basic():
     box = BoundBox(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     assert box.n == 2
-    assert not box.is_unbounded
     assert box.contains(np.array([0.0, 1.0]))
     assert not box.contains(np.array([0.0, 2.5]))
 
@@ -17,7 +16,6 @@ def test_box_basic():
 def test_box_unbounded():
     box = BoundBox.unbounded(3)
     assert box.n == 3
-    assert box.is_unbounded
     assert box.contains(np.array([1e300, -1e300, 0.0]))
 
 

@@ -48,7 +48,7 @@ ORACLES = {
 }
 CURVATURES = ("zero", "scalar_bb", "exact_clipped", "diagonal_fd")
 HISTORY_NAMES = ("norm_d", "norm_xi", "err_norm", "gamma", "f_values",
-                 "dir_err", "step_sq", "violation_count")
+                 "step_sq", "violation_count")
 
 # adagb2 mc runs whose output files are pinned: (name, config, extra flags).
 MC_RUNS = (

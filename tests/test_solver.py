@@ -39,7 +39,6 @@ def test_initial_state_projects_and_seeds_weights():
     st = SolverState.initial(np.array([-3.0, 0.4]), box, params)
     assert np.array_equal(st.x, [0.0, 0.4])
     assert np.array_equal(st.w, [0.25, 0.25])
-    assert st.k == 0
 
 
 def test_weight_recurrence_hand_check():
