@@ -87,10 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="boxed_quadratic")
     p_det.add_argument("--dim", type=int, default=2)
     p_det.add_argument("--problem-seed", type=int, default=0)
-    p_det.add_argument("--sigma", type=float, default=0.01)
-    p_det.add_argument("--tau", type=float, default=1.0)
-    p_det.add_argument("--kappa-s", type=float, default=1.0)
-    p_det.add_argument("--kappa-b", type=float, default=1.0)
+    p_det.add_argument("--sigma", type=float, default=SolverParams.sigma)
+    p_det.add_argument("--tau", type=float, default=SolverParams.tau)
+    p_det.add_argument("--kappa-s", type=float, default=SolverParams.kappa_s)
+    p_det.add_argument("--kappa-b", type=float, default=CurvatureSpec.kappa_b)
     p_det.add_argument("--horizon", type=int, default=10000)
     return parser
 

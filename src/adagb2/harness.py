@@ -320,6 +320,12 @@ class DeterministicBoundReport:
     constants: Optional[ConstantsReport]
 
 
+def _need_lipschitz(problem: TestProblem) -> None:
+    if problem.objective.lipschitz is None:
+        raise ConfigurationError(f"{problem.name} has no certified Lipschitz "
+                                 "constant; the complexity constants need one")
+
+
 def theory_constants(problem: TestProblem, params: SolverParams,
                      kappa_b: float) -> ConstantsReport:
     """The complexity constants of ``problem`` with zero directional error.
@@ -328,9 +334,7 @@ def theory_constants(problem: TestProblem, params: SolverParams,
     f(x_0) - f_low; a ConfigurationError names the hypothesis that fails.
     """
     obj = problem.objective
-    if obj.lipschitz is None:
-        raise ConfigurationError(f"{problem.name} has no certified Lipschitz "
-                                 "constant; the complexity constants need one")
+    _need_lipschitz(problem)
     x0 = SolverState.initial(problem.x_ini, problem.box, params).x
     gamma0 = obj.f(x0) - obj.f_low
     if not gamma0 > 0.0:
@@ -352,8 +356,10 @@ def verify_deterministic_bound(problem: TestProblem, params: SolverParams,
     Runs the exact-gradient algorithm and compares against the constant
     computed with zero directional-error contribution.  When the
     non-critical-start hypothesis sigma < ||d_0||^2 fails, reports
-    inapplicability instead of asserting.
+    inapplicability instead of asserting.  A problem with no certified
+    Lipschitz constant raises ConfigurationError before the run.
     """
+    _need_lipschitz(problem)
     result = run(problem, Exact(), curvature, params, horizon=horizon,
                  base_seed=0, diagnostics=True)
     d0_sq = float(result.norm_d[0] ** 2)

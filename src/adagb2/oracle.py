@@ -266,21 +266,10 @@ class OracleStream:
 
 
 # The block path's scope and size, from timing run_batch both ways on
-# boxed_quadratic with Gaussian noise: at 4 rows or more it was faster
-# through n = 16 and slower from n = 24; at 1 to 3 rows it gained little
-# or nothing.  A block holds about BLOCK_COUNTERS Philox counters.
-BLOCK_ROWS = 4
+# boxed_quadratic with Gaussian noise: it was faster through n = 16 and
+# slower from n = 24.  A block holds about BLOCK_COUNTERS Philox counters.
 BLOCK_WORDS = 16
 BLOCK_COUNTERS = 4096
-
-
-def block_length(rows: int, n: int) -> int:
-    """Iterations per block of ``StreamRows``' block path, or 0 where the
-    path does not apply: fewer than ``BLOCK_ROWS`` rows or more than
-    ``BLOCK_WORDS`` normals a row."""
-    if rows < BLOCK_ROWS or n > BLOCK_WORDS:
-        return 0
-    return max(1, BLOCK_COUNTERS // (rows * -(-n // 4)))
 
 
 class StreamRows:
@@ -291,22 +280,23 @@ class StreamRows:
     (``OracleStream.rng_shared``), so a model that draws nothing resets
     nothing.  ``block_normals(out)`` writes n standard normals into each
     row of ``out``, bit for bit what ``rng_shared(k).standard_normal``
-    writes, if the block path applies (``block_length``, and the installed
-    numpy passes ``numpy_agrees``), and otherwise returns False.  The block
-    path computes the Philox words of a block of iterations at once and
-    resets only the rows whose words leave the ziggurat's fast path.
-    ``horizon`` is the first iteration no block reaches.
+    writes, if the block path applies (at most ``BLOCK_WORDS`` normals a
+    row, and the installed numpy passes ``numpy_agrees``), and otherwise
+    returns False.  The block path computes the Philox words of a block of
+    iterations at once, and resets and draws by numpy only the rows whose
+    words leave the ziggurat's fast path.  Its tables are built at the
+    first block, sized to the run.  ``horizon`` is the first iteration no
+    block reaches.
     """
 
     def __init__(self, streams, n, horizon):
         self.streams = streams
         self.k = 0
-        self._end = horizon
-        length = block_length(len(streams), n)
-        self._philox = PhiloxBlocks([s._key for s in streams], n,
-                                    length) if length else None
+        self._n, self._end = n, horizon
+        self._block = n <= BLOCK_WORDS
+        self._philox = None
         self._k0 = self._k1 = 0  # the iterations in the block
-        self._z = self._slow = None
+        self._z = None
 
     def at(self, k):
         self.k = k
@@ -317,26 +307,24 @@ class StreamRows:
 
     def block_normals(self, out) -> bool:
         k = self.k
-        if self._philox is not None and not self._k0 <= k < self._k1:
+        if not self._k0 <= k < self._k1:
+            if not (self._block and numpy_agrees()):
+                return False
             self._fill(k)
-        if self._philox is None:
-            return False
-        j = k - self._k0
-        np.copyto(out, self._z[j])
-        for r in self._slow.get(j, ()):
-            OracleStream.rng_shared(self.streams[r], k).standard_normal(
-                out=out[r])
+        np.copyto(out, self._z[k - self._k0])
         return True
 
     def _fill(self, k):
-        if not numpy_agrees():
-            self._philox = None
-            return
+        if self._philox is None:
+            per_iteration = len(self.streams) * -(-self._n // 4)
+            length = min(self._end, max(1, BLOCK_COUNTERS // per_iteration))
+            self._philox = PhiloxBlocks([s._key for s in self.streams],
+                                        self._n, length)
         m = min(self._philox.length, self._end - k)
         z, fast = fast_normals(self._philox.words(k, m))
-        self._slow = {}  # iteration in the block -> rows to draw by numpy
         for j, r in zip(*np.nonzero(~fast.all(axis=-1))):
-            self._slow.setdefault(int(j), []).append(int(r))
+            OracleStream.rng_shared(self.streams[r], k + int(j)
+                                    ).standard_normal(out=z[j, r])
         self._z, self._k0, self._k1 = z, k, k + m
 
 

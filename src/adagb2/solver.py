@@ -115,7 +115,7 @@ def _tol(*values):
     return SLACK * m
 
 
-def _monitor_checks(inputs, feasible, step_bound, gamma, xi, kappa_b, params):
+def _monitor_checks(inputs, feasible, step_bound, xi, kappa_b, params):
     """The monitors in ``MONITORS`` order, elementwise over any shape.
 
     ``inputs`` is (g.s_L, g.s, g.s_Q, s_L^T B s_L, s^T B s, sum d^2/w,
@@ -125,7 +125,7 @@ def _monitor_checks(inputs, feasible, step_bound, gamma, xi, kappa_b, params):
     """
     g_sl, g_s, g_sq, qf_sl, qf_s, sum_d2_w, norm_sl_sq, norm_delta_sq = inputs
     sigma, tau, kappa_s = params.sigma, params.tau, params.kappa_s
-    model_q = g_sq + 0.5 * (gamma * gamma * qf_sl)
+    model_q = g_sq + 0.5 * qf_s
     model_s = g_s + 0.5 * qf_s
     checks = [
         feasible,
@@ -178,8 +178,9 @@ def step(x, w, oracle_draw, provider, box: TiledBox, params: SolverParams,
         np.clip(s, box.lower - x, box.upper - x, out=s)
         # With B = 0 the model decrease condition reads g^T s <= tau g^T s_q;
         # the feasibility clamp can break it near an active bound, in which
-        # case the projected first-order step is always admissible.
-        back = np.vecdot(g, s) > params.tau * np.vecdot(g, gamma[:, None] * s_l)
+        # case the projected first-order step is always admissible.  The
+        # zero provider makes gamma 1, so g^T s_q is g.s_L.
+        back = np.vecdot(g, s) > params.tau * g_sl
         np.copyto(s, s_l, where=back[:, None])
 
     np.add(x, s, out=x_raw)
@@ -297,10 +298,10 @@ class _Histories:
         g, d, w, delta, s_l, s, x_raw, *g_true = self.vectors[:, :m]
         # s^T B s = gamma^2 s_L^T B s_L: s = gamma s_L for cauchy, and
         # sign_adagrad runs with B = 0, where s_L^T B s_L = +0.0 and gamma = 1.
-        # For cauchy, s is gamma s_L bit for bit, so g.s_Q is g.s.
+        # g.s_Q is g.s for cauchy, where s is gamma s_L bit for bit, and
+        # g.s_L for sign_adagrad.
         g_s = np.vecdot(g, s)
-        g_sq = (g_s if params.step_mode == "cauchy"
-                else np.vecdot(g, gamma[..., None] * s_l))
+        g_sq = g_s if params.step_mode == "cauchy" else g_sl
         inputs = (g_sl, g_s, g_sq, qf_sl, gamma * gamma * qf_sl,
                   (d * d / w).sum(axis=-1), np.vecdot(s_l, s_l),
                   np.vecdot(delta, delta))
@@ -320,7 +321,7 @@ class _Histories:
             xi = norm_xi, norm_d, err
         bad = ~np.stack(_monitor_checks(
             inputs, *_vector_checks(x, x_raw, s, delta, box, params.kappa_s),
-            gamma, xi, kappa_b, params))  # (monitors, m, R)
+            xi, kappa_b, params))  # (monitors, m, R)
         self.failed += bad.sum(axis=1).T
         self.violation_count[block] = bad.sum(axis=0).T
         if m == self.length:

@@ -114,8 +114,9 @@ def _configs():
                    diagnostics)
 
 
-# Runs of R=5, above oracle.BLOCK_ROWS, so that their normals come from
-# the block path (``oracle.StreamRows.block_normals``), with diagnostics.
+# Runs of R=5 with diagnostics.  Their normals come from the block path
+# (``oracle.StreamRows.block_normals``), as do those of every R=3 run above
+# with a Gaussian-type oracle: n is at most ``oracle.BLOCK_WORDS``.
 BLOCK_FAMILIES = ("boxed_quadratic", "boxed_rosenbrock")
 BLOCK_ORACLES = {
     "affine_gaussian": ORACLES["affine_gaussian"],

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from adagb2 import harness
 from adagb2.curvature import CurvatureSpec
 from adagb2.errors import ConfigurationError
 from adagb2.harness import (Aggregate, ExperimentConfig, aggregate_results,
@@ -312,6 +313,17 @@ def test_deterministic_bound_inapplicable_near_critical_start():
     report = verify_deterministic_bound(near, SolverParams(sigma=0.5), 10)
     assert not report.applicable
     assert "d_0" in report.reason
+
+
+def test_deterministic_bound_needs_a_lipschitz_constant_before_running(
+        monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the horizon ran")
+
+    monkeypatch.setattr(harness, "run", no_run)
+    rosenbrock = make_test_problem("boxed_rosenbrock", 2, 0)
+    with pytest.raises(ConfigurationError, match="Lipschitz"):
+        verify_deterministic_bound(rosenbrock, SolverParams(), 10000)
 
 
 def test_theory_constants_need_their_hypotheses():

@@ -408,7 +408,7 @@ def test_draw_from_stream_rows_matches_fresh_generators(kind):
     # per row.
     model = EVERY_KIND[kind]
     obj = make_test_problem("finite_sum_logistic", 4, 0).objective
-    reps = oracle.BLOCK_ROWS + 2
+    reps = 6
     x = np.random.default_rng(3).uniform(-1.0, 1.0, (reps, 4))
     streams = [OracleStream(11, r) for r in range(reps)]
     rows = StreamRows(streams, 4, 30)
@@ -419,7 +419,11 @@ def test_draw_from_stream_rows_matches_fresh_generators(kind):
 
 
 def test_block_path_scope():
-    # Where it measured faster: several rows, at most 16 normals a row.
-    assert oracle.block_length(1, 2) == 0
-    assert oracle.block_length(20, 17) == 0
-    assert oracle.block_length(20, 2) > 0
+    # Where it measured faster: at most 16 normals a row, at any row count.
+    lone = OracleStream(4, 0)
+    out = np.full((1, 2), np.nan)
+    assert StreamRows([lone], 2, 10).at(3).block_normals(out)
+    assert out[0].tobytes() == lone.rng(3).standard_normal(2).tobytes()
+    streams = [OracleStream(4, r) for r in range(20)]
+    assert not StreamRows(streams, 17, 10).at(0).block_normals(
+        np.empty((20, 17)))

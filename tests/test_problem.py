@@ -100,7 +100,7 @@ def test_quadratic_closed_form_minimum():
                              np.zeros(2), np.ones(2), np.full(2, 0.5))
     x_star = np.array([1.0, 0.25])
     f_star = prob.objective.f(x_star)
-    assert prob.known_critical_value == pytest.approx(f_star, abs=1e-15)
+    assert prob.objective.f_low == pytest.approx(f_star, abs=1e-15)
     assert f_star == pytest.approx(0.5 * 1 - 1 + 0.5 * 4 * 0.0625 - 0.25)
     # gradient at the constrained minimizer: zero in coordinates strictly
     # inside, and the projected-gradient measure vanishes
@@ -113,7 +113,7 @@ def test_quadratic_clamped_minimizer():
     # b/a = 5 lies beyond the box: constrained minimizer sits at u = 1.
     prob = quadratic_problem(np.array([1.0]), np.array([5.0]),
                              np.array([0.0]), np.array([1.0]), np.array([0.2]))
-    assert prob.known_critical_value == pytest.approx(0.5 - 5.0)
+    assert prob.objective.f_low == pytest.approx(0.5 - 5.0)
 
 
 def test_quadratic_rejects_nonpositive_curvature():
@@ -154,6 +154,19 @@ def test_declared_lipschitz_holds_on_samples(name):
     prob = make_test_problem(name, 5, 2)
     report = check_smoothness(prob.objective, prob.box, samples=200, seed=1)
     assert report.within_bound
+
+
+def test_sampled_ratios_at_seed_0():
+    # The reference figures of ``adagb2 check``'s lipschitz_sampled sweep.
+    want = {"boxed_quadratic": (3.9999982596733887, 4.0),
+            "boxed_nonconvex_quartic": (8.704032749057369, 11.0),
+            "finite_sum_logistic": (0.3726358739523061, 0.42033006193663247)}
+    for name, (ratio, lipschitz) in want.items():
+        prob = make_test_problem(name, 2, 0)
+        report = check_smoothness(prob.objective, prob.box, 2000, 0)
+        assert report.max_ratio == pytest.approx(ratio, rel=1e-12)
+        assert prob.objective.lipschitz == pytest.approx(lipschitz, rel=1e-12)
+        assert report.within_bound
 
 
 def test_logistic_term_grad_full_batch_equals_gradient():
