@@ -28,17 +28,31 @@ def project_box_cap_trust(y, lower, upper, center, radii, out):
 
 
 def first_order(x, g, lower, upper, w_prev, d_out, w_out, delta_out, sl_out):
-    """Fused first-order quantities of one iteration.
+    """Fused first-order quantities of one iteration, for x in F.
 
     d     = P_F(x - g) - x
     w     = sqrt(w_prev^2 + d^2)          (coordinate-wise)
     delta = |d| / w                       (w >= w_prev > 0, no 0/0 hazard)
     s_L   = P_{F cap B}(x - g) - x        (trust radii delta, centered at x)
+
+    s_L clamps P_F(x - g) into [x - delta, x + delta]: the two intervals
+    share x, so clamping into one and then the other is clamping into
+    their intersection, and min and max do not round.  That needs x in F,
+    and for the bits of the four clamps of ``project_box_cap_trust``
+    x = P_F(x) bit for bit (a +0.0 against a lower bound of -0.0 is in F
+    but gives s_L the other zero).  Every iterate is a projection onto F.
     """
-    y = x - g
-    project_box(y, lower, upper, d_out)
-    np.subtract(d_out, x, out=d_out)
-    np.sqrt(w_prev * w_prev + d_out * d_out, out=w_out)
-    np.divide(np.abs(d_out), w_out, out=delta_out)
-    project_box_cap_trust(y, lower, upper, x, delta_out, sl_out)
+    np.subtract(x, g, out=sl_out)
+    project_box(sl_out, lower, upper, sl_out)  # P_F(x - g)
+    np.subtract(sl_out, x, out=d_out)
+    np.multiply(d_out, d_out, out=w_out)
+    t = w_prev * w_prev
+    np.add(t, w_out, out=w_out)
+    np.sqrt(w_out, out=w_out)
+    np.abs(d_out, out=delta_out)
+    np.divide(delta_out, w_out, out=delta_out)
+    np.subtract(x, delta_out, out=t)
+    np.maximum(sl_out, t, out=sl_out)
+    np.add(x, delta_out, out=t)
+    np.minimum(sl_out, t, out=sl_out)
     np.subtract(sl_out, x, out=sl_out)

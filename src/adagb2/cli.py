@@ -293,6 +293,20 @@ def _check_lipschitz_sampled(seed) -> bool:
     return True
 
 
+def _check_f_low_sampled(seed) -> bool:
+    """No f at 20,000 uniform points of the box falls below the f_low a
+    family declares, at n = 2, 5 and 10.  A sample can refute f_low, not
+    certify it."""
+    for name in PROBLEM_NAMES:
+        for n in (2, 5, 10):
+            prob = make_test_problem(name, n, seed)
+            rng = np.random.default_rng(seed)
+            points = rng.uniform(prob.box.lower, prob.box.upper, (20000, n))
+            if (prob.objective.f(points) < prob.objective.f_low).any():
+                return False
+    return True
+
+
 def _check_constants_order(seed) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -319,6 +333,7 @@ _CHECKS = (
     ("projection_properties", _check_projections),
     ("hess_bound_certified", _check_hess_bound),
     ("lipschitz_sampled", _check_lipschitz_sampled),
+    ("f_low_sampled", _check_f_low_sampled),
     ("constants_ordering", _check_constants_order),
 )
 

@@ -8,7 +8,7 @@ bit-identical draws regardless of execution order.
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class NoiseModel:
     no random numbers does not iterate it: that would cost a reset per row.
     A model that draws only standard normals takes them through
     ``_normals``, which reads them from the engine's ``StreamRows`` block
-    where it can.
+    where it can; the block is read only.
     ``sample`` reads the true gradients ``g_true`` only if ``needs_true``.
     ``validate`` raises ConfigurationError if the model cannot be used with
     the objective in dimension n.
@@ -47,11 +47,18 @@ class NoiseModel:
 
 
 def _normals(rngs, out):
-    """One standard normal row from each generator, into the rows of out."""
-    if isinstance(rngs, StreamRows) and rngs.block_normals(out):
-        return
+    """One standard normal row from each generator; the array that holds them.
+
+    That is the engine's block (read only) where it applies, and otherwise
+    ``out``, whose rows the generators fill.
+    """
+    if isinstance(rngs, StreamRows):
+        z = rngs.block_normals()
+        if z is not None:
+            return z
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,7 @@ class Gaussian(NoiseModel):
 
     def sample(self, obj, x, rngs, g_true, out):
         # G + sigma * z, in place: products and sums commute bit for bit.
-        _normals(rngs, out)
-        out *= self.sigma
+        np.multiply(_normals(rngs, out), self.sigma, out=out)
         out += g_true
 
 
@@ -120,8 +126,7 @@ class AffineGaussian(NoiseModel):
     def sample(self, obj, x, rngs, g_true, out):
         n = x.shape[1]
         total = self.kappa1 + self.kappa2 * np.vecdot(g_true, g_true)
-        _normals(rngs, out)
-        out *= np.sqrt(total / n)[:, None]
+        np.multiply(_normals(rngs, out), np.sqrt(total / n)[:, None], out=out)
         out += g_true
 
 
@@ -212,8 +217,7 @@ NOISE_MODELS = {cls.kind: cls for cls in (
     RelativeBias, Subsample)}
 
 
-@dataclass(frozen=True)
-class OracleDraw:
+class OracleDraw(NamedTuple):
     """Gradient estimates at R points, one per row, and the true gradients."""
 
     g: np.ndarray  # (R, n)
@@ -278,11 +282,12 @@ class StreamRows:
     Row r is ``streams[r]``; ``at(k)`` moves to iteration k and returns the
     object.  Iterating it resets each row's stream to k as the row is taken
     (``OracleStream.rng_shared``), so a model that draws nothing resets
-    nothing.  ``block_normals(out)`` writes n standard normals into each
-    row of ``out``, bit for bit what ``rng_shared(k).standard_normal``
-    writes, if the block path applies (at most ``BLOCK_WORDS`` normals a
-    row, and the installed numpy passes ``numpy_agrees``), and otherwise
-    returns False.  The block path computes the Philox words of a block of
+    nothing.  ``block_normals()`` returns the (R, n) view of the block that
+    holds iteration k's standard normals, row r bit for bit what
+    ``rng_shared(k).standard_normal`` draws for row r, if the block path
+    applies (at most ``BLOCK_WORDS`` normals a row, and the installed numpy
+    passes ``numpy_agrees``), and otherwise None.  Callers must not write
+    into the view.  The block path computes the Philox words of a block of
     iterations at once, and resets and draws by numpy only the rows whose
     words leave the ziggurat's fast path.  Its tables are built at the
     first block, sized to the run.  ``horizon`` is the first iteration no
@@ -305,14 +310,13 @@ class StreamRows:
     def __iter__(self):
         return map(OracleStream.rng_shared, self.streams, repeat(self.k))
 
-    def block_normals(self, out) -> bool:
+    def block_normals(self) -> Optional[np.ndarray]:
         k = self.k
         if not self._k0 <= k < self._k1:
             if not (self._block and numpy_agrees()):
-                return False
+                return None
             self._fill(k)
-        np.copyto(out, self._z[k - self._k0])
-        return True
+        return self._z[k - self._k0]
 
     def _fill(self, k):
         if self._philox is None:

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .curvature import CurvatureSpec, make_provider
+from .curvature import CurvatureSpec, ZeroCurvature, make_provider
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, TiledBox, project_box
 from .oracle import NoiseModel, OracleStream, StreamRows, draw
@@ -157,12 +157,18 @@ def step(x, w, oracle_draw, provider, box: TiledBox, params: SolverParams,
     gamma, then the (R, n) vectors of ``_VECTORS`` but x, which is the
     slot's iterate already.  ``oracle_draw`` has written its estimate into
     the slot's g; the iteration writes the others, and the next x into
-    ``out``; nothing else is computed here.
+    ``out``; nothing else is computed here.  ``provider`` is None for the
+    zero operator in cauchy mode: gamma is 1 and s is s_L, so the iteration
+    writes only d, w, delta, s_L and x_raw, and ``_Histories.check`` fills
+    in the rest.
     """
     g_sl, qf_sl, gamma, g, d, w_new, delta, s_l, s, x_raw, *g_true = slot
     if g_true:
         g_true[0][...] = oracle_draw.g_true
     _kernels.first_order(x, g, box.lower, box.upper, w, d, w_new, delta, s_l)
+    if provider is None:
+        np.add(x, s_l, out=x_raw)
+        return project_box(x_raw, box, out=out), w_new
     qf_sl[...] = provider.quad_form(x, s_l)
     np.vecdot(g, s_l, out=g_sl)
     # min(1, -g.s_L / s_L^T B s_L) where the curvature is positive, else 1;
@@ -244,11 +250,14 @@ class _Histories:
     the recorded vectors, evaluates the monitors and adds up the
     violations.  The block length keeps the recorded vectors within
     ``BLOCK_BYTES`` and at most ``BLOCK``, but at least 2: iteration k + 1
-    reads the estimate that iteration k left in its slot.
+    reads the estimate that iteration k left in its slot.  With
+    ``s_is_sl`` (the zero operator in cauchy mode) the step records only
+    its first-order vectors and x_raw, and ``check`` fills in g.s_L,
+    s_L^T B s_L = 0 and gamma = 1, and reads s as s_L.
     """
 
     def __init__(self, obj, replications, horizon, diagnostics, box,
-                 kappa_b, params):
+                 kappa_b, params, s_is_sl):
         reps, n = len(replications), box.n
         shape = (reps, horizon)
         for name in HISTORIES:  # NaN stays where a diagnostic is not computed
@@ -267,6 +276,7 @@ class _Histories:
         self._f = obj.f if diagnostics else None
         self._replications = replications
         self._box, self._limits = box, (kappa_b, params)
+        self._s_is_sl = s_is_sl
 
     def check_objective(self, k0, m):
         """Record f at iterates k0 to k0 + m - 1, in iterates 0 to m - 1.
@@ -296,20 +306,29 @@ class _Histories:
         g_sl, qf_sl, gamma = self.scalars[:, :m]  # (m, R)
         x = self.x[:m]
         g, d, w, delta, s_l, s, x_raw, *g_true = self.vectors[:, :m]
+        norm_sl_sq = np.vecdot(s_l, s_l)
+        if self._s_is_sl:
+            # What the step leaves out: the zero provider's s_L^T B s_L is
+            # +0.0, so gamma is 1 and s = 1.0 * s_L is s_L bit for bit.
+            np.vecdot(g, s_l, out=g_sl)
+            qf_sl.fill(0.0)
+            gamma.fill(1.0)
+            s, g_s, norm_s_sq = s_l, g_sl, norm_sl_sq
+        else:
+            g_s, norm_s_sq = np.vecdot(g, s), np.vecdot(s, s)
         # s^T B s = gamma^2 s_L^T B s_L: s = gamma s_L for cauchy, and
         # sign_adagrad runs with B = 0, where s_L^T B s_L = +0.0 and gamma = 1.
         # g.s_Q is g.s for cauchy, where s is gamma s_L bit for bit, and
         # g.s_L for sign_adagrad.
-        g_s = np.vecdot(g, s)
         g_sq = g_s if params.step_mode == "cauchy" else g_sl
         inputs = (g_sl, g_s, g_sq, qf_sl, gamma * gamma * qf_sl,
-                  (d * d / w).sum(axis=-1), np.vecdot(s_l, s_l),
+                  (d * d / w).sum(axis=-1), norm_sl_sq,
                   np.vecdot(delta, delta))
         norm_d = np.sqrt(np.vecdot(d, d))
         block = np.s_[:, k0:k0 + m]
         self.norm_d[block] = norm_d.T
         self.gamma[block] = gamma.T
-        self.step_sq[block] = np.vecdot(s, s).T
+        self.step_sq[block] = norm_s_sq.T
         xi = None
         if g_true:
             g_true, = g_true
@@ -384,29 +403,35 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     if params.step_mode == "sign_adagrad" and curvature_spec.kind != "zero":
         raise ConfigurationError("sign_adagrad mode requires the zero provider")
     provider = make_provider(curvature_spec, obj)
+    # With the zero operator the Cauchy step is s_L itself.
+    s_is_sl = (type(provider) is ZeroCurvature
+               and params.step_mode == "cauchy")
     rngs = StreamRows([OracleStream(base_seed, r) for r in replications],
                       problem.box.n, horizon)
     box = problem.box
     reps = len(replications)
     rows = box.tile(reps)
     hist = _Histories(obj, replications, horizon, diagnostics, box,
-                      provider.kappa_b, params)
-    hist.iterates[0][...] = SolverState.initial(problem.x_ini, box, params).x
+                      provider.kappa_b, params, s_is_sl)
+    iterates, estimates, slots = hist.iterates, hist.estimates, hist.slots
+    length, observe = hist.length, provider.observe
+    step_provider = None if s_is_sl else provider
+    iterates[0][...] = SolverState.initial(problem.x_ini, box, params).x
     w = np.full((reps, box.n), params.sigma)
     x_prev = g_prev = None
 
     for k in range(horizon):
-        j = k % hist.length
-        x = hist.iterates[j]
+        j = k % length
+        x = iterates[j]
         # Lazy: each row's stream is reset as its sample is drawn; not at
         # all by a model that draws no random numbers, and only for the
         # rows a block leaves to numpy when the normals come from a block
         # (``StreamRows``).  The estimate goes into the slot's g.
         od = draw(obj, x, oracle_model, rngs.at(k), with_true=diagnostics,
-                  out=hist.estimates[j])
+                  out=estimates[j])
         g = od.g
         if k > 0:
-            provider.observe(x_prev, x, g_prev, g)
+            observe(x_prev, x, g_prev, g)
         x_prev, g_prev = x, g
         if not np.isfinite(g).all():
             # A non-finite objective value at an iterate up to k is the
@@ -415,9 +440,10 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
             _non_finite(np.isfinite(g).all(axis=1), "gradient estimate", g, k,
                         replications)
 
-        x, w = step(x, w, od, provider, rows, params, hist.slots[j],
-                    hist.iterates[j + 1])
-        if j == hist.length - 1 or k == horizon - 1:
+        # Module attributes, looked up each iteration: a tracer may wrap them.
+        x, w = step(x, w, od, step_provider, rows, params, slots[j],
+                    iterates[j + 1])
+        if j == length - 1 or k == horizon - 1:
             hist.check(k - j, j + 1)
 
     x, w = x.copy(), w.copy()  # not views of the block buffer

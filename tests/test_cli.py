@@ -228,8 +228,9 @@ def test_check_subcommand(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
     assert "PASS lipschitz_sampled" in out
+    assert "PASS f_low_sampled" in out
 
 
 def test_check_refutes_an_understated_lipschitz_constant(capsys,
@@ -250,6 +251,26 @@ def test_check_refutes_an_understated_lipschitz_constant(capsys,
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL lipschitz_sampled" in out
+    assert out.count("FAIL") == 1
+
+
+def test_check_refutes_an_overstated_f_low(capsys, monkeypatch):
+    # The quartic's f is -0.25 per coordinate at its minima; the uniform
+    # points at n = 2 come within 5e-5 of -0.5, below a declared -0.48.
+    make = cli.make_test_problem
+
+    def overstated(name, dim, seed):
+        prob = make(name, dim, seed)
+        if name != "boxed_nonconvex_quartic":
+            return prob
+        return dataclasses.replace(prob, objective=dataclasses.replace(
+            prob.objective, f_low=-0.24 * dim))
+
+    monkeypatch.setattr(cli, "make_test_problem", overstated)
+    code = cli_main(["check", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL f_low_sampled" in out
     assert out.count("FAIL") == 1
 
 

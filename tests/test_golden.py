@@ -5,8 +5,9 @@ providers x diagnostics on and off (R=3, 300 iterations), plus the
 ``sign_adagrad`` step on each family, is run and hashed: each history's
 bytes, the violation counts, ``event_a`` and the final ``x`` and ``w`` of
 every replication.  A few R=5 runs pin the block draw path of the
-Gaussian-type oracles the same way.  A few ``adagb2 mc`` runs hash their
-output files.  The digests are compared with ``golden_digests.json``.
+Gaussian-type oracles the same way, and a few R=20 runs pin it across two
+block refills.  A few ``adagb2 mc`` runs hash their output files.  The
+digests are compared with ``golden_digests.json``.
 
 The bits depend on numpy (its Philox stream, its normal sampler, its SIMD
 ``exp``/``log`` and reduction kernels), so the file records the numpy
@@ -138,6 +139,28 @@ def _block_configs():
             })
 
 
+# Runs of R=20, n=2 whose horizon crosses two refills of the block path:
+# its blocks hold 204 iterations of 20 rows (``oracle.BLOCK_COUNTERS``).
+REFILL_ORACLES = {
+    "gaussian": ORACLES["gaussian"],
+    "affine_gaussian": ORACLES["affine_gaussian"],
+    "constant_bias": {"kind": "constant_bias", "bias": [0.03, -0.02],
+                      "inner": ORACLES["constant_bias"]["inner"]},
+}
+
+
+def _refill_configs():
+    """(name, config dict) of every R=20 run."""
+    for oracle, model in REFILL_ORACLES.items():
+        for curvature in ("zero", "scalar_bb"):
+            yield (f"refill_r20/boxed_quadratic/{oracle}/{curvature}", {
+                "problem": {"name": "boxed_quadratic", "dim": 2, "seed": 0},
+                "oracle": model,
+                "curvature": {"kind": curvature, "kappa_b": 16.0},
+                "run": {"horizon": 450, "replications": 20, "base_seed": 7},
+            })
+
+
 def _run_digest(results) -> str:
     h = hashlib.sha256()
     for res in results:
@@ -162,7 +185,7 @@ def run_digests() -> dict:
                     "diagnostics": diagnostics},
         })
         digests[name] = _run_digest(run_experiment(config).results)
-    for name, data in _block_configs():
+    for name, data in (*_block_configs(), *_refill_configs()):
         digests[name] = _run_digest(
             run_experiment(ExperimentConfig.from_dict(data)).results)
     return digests

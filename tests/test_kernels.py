@@ -162,3 +162,60 @@ def test_tiled_bounds_match_broadcast_bounds(bounds):
             rng.uniform(-8, 8, (reps, n)), rng.uniform(0, 3, (reps, n)))
     assert (_kernel_outputs(*args, rows.lower, rows.upper)
             == _kernel_outputs(*args, box.lower, box.upper))
+
+
+def _four_clamp_first_order(x, g, lower, upper, w_prev):
+    """``first_order`` with s_L as P_{F cap B}(x - g) - x, the four clamps of
+    ``project_box_cap_trust``: the form the kernel is checked against."""
+    d, w, delta, s_l = (np.empty_like(x) for _ in range(4))
+    y = x - g
+    _kernels.project_box(y, lower, upper, d)
+    np.subtract(d, x, out=d)
+    np.sqrt(w_prev * w_prev + d * d, out=w)
+    np.divide(np.abs(d), w, out=delta)
+    _kernels.project_box_cap_trust(y, lower, upper, x, delta, s_l)
+    np.subtract(s_l, x, out=s_l)
+    return d, w, delta, s_l
+
+
+def test_first_order_matches_four_clamps_bit_for_bit():
+    # s_L clamps P_F(x - g) into [x - delta, x + delta]; for every x that
+    # is its own projection onto F that is the four clamps' bits, signed
+    # zeros included.  Rows mix infinite bounds, fixed coordinates, zero
+    # bounds of either sign, x on a bound and g = 0.
+    rng = np.random.default_rng(31)
+    shape = (2000, 5)
+
+    def where(p):
+        return rng.random(shape) < p
+
+    def zeros(mask):  # a zero of random sign at each masked entry
+        return np.where(rng.random(mask.sum()) < 0.5, 0.0, -0.0)
+
+    lower = rng.uniform(-4, 0, shape)
+    upper = lower + rng.uniform(0, 4, shape)
+    for bound in (lower, upper):
+        at_zero = where(0.1)
+        bound[at_zero] = zeros(at_zero)
+    lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
+    fixed = where(0.1)
+    upper[fixed] = lower[fixed]
+    lower[where(0.2) & ~fixed] = -np.inf
+    upper[where(0.2) & ~fixed] = np.inf
+    x = rng.uniform(-5, 5, shape)
+    at_zero = where(0.1)
+    x[at_zero] = zeros(at_zero)
+    x = np.where(where(0.2) & np.isfinite(lower), lower, x)
+    x = np.where(where(0.2) & np.isfinite(upper), upper, x)
+    x = np.maximum(np.minimum(x, upper), lower)  # x = P_F(x) bit for bit
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    at_zero = where(0.15)
+    g[at_zero] = zeros(at_zero)
+    g[rng.random(shape[0]) < 0.05] = 0.0  # whole rows at a fixed point
+    w_prev = rng.uniform(1e-8, 10, shape)
+    assert fixed.any() and (x == lower).any() and (x == upper).any()
+    outs = [np.empty(shape) for _ in range(4)]
+    _kernels.first_order(x, g, lower, upper, w_prev, *outs)
+    want = _four_clamp_first_order(x, g, lower, upper, w_prev)
+    for name, got, ref in zip(("d", "w", "delta", "s_l"), outs, want):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name

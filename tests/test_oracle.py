@@ -389,8 +389,8 @@ def test_block_normals_match_numpy(n, monkeypatch):
     rows, horizon = StreamRows(streams, n, 40), 40
     slow = []
     for k in range(horizon):
-        out = np.full((6, n), np.nan)
-        assert rows.at(k).block_normals(out)
+        out = rows.at(k).block_normals()
+        assert out.shape == (6, n)
         for r, stream in enumerate(streams):
             want = stream.rng(k).standard_normal(n)
             assert out[r].tobytes() == want.tobytes(), (k, r)
@@ -421,9 +421,25 @@ def test_draw_from_stream_rows_matches_fresh_generators(kind):
 def test_block_path_scope():
     # Where it measured faster: at most 16 normals a row, at any row count.
     lone = OracleStream(4, 0)
-    out = np.full((1, 2), np.nan)
-    assert StreamRows([lone], 2, 10).at(3).block_normals(out)
+    out = StreamRows([lone], 2, 10).at(3).block_normals()
+    assert out.shape == (1, 2)
     assert out[0].tobytes() == lone.rng(3).standard_normal(2).tobytes()
     streams = [OracleStream(4, r) for r in range(20)]
-    assert not StreamRows(streams, 17, 10).at(0).block_normals(
-        np.empty((20, 17)))
+    assert StreamRows(streams, 17, 10).at(0).block_normals() is None
+
+
+def test_block_normals_are_read_only():
+    # The block is read in place: a model that scaled or shifted the view
+    # it got, rather than its own output, would change the second draw at
+    # the same iteration.
+    models = [Gaussian(0.1), AffineGaussian(0.01, 0.05),
+              ConstantBias(np.full(4, 0.03), Gaussian(0.05))]
+    obj = make_test_problem("boxed_quadratic", 4, 0).objective
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 4))
+    rows = StreamRows([OracleStream(8, r) for r in range(3)], 4, 20)
+    for k in (0, 7, 19):
+        assert rows.at(k).block_normals() is not None
+        for model in models:
+            first = draw(obj, x, model, rows.at(k)).g
+            again = draw(obj, x, model, rows.at(k)).g
+            assert first.tobytes() == again.tobytes(), (k, model)
