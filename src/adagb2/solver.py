@@ -16,12 +16,13 @@ counted and reported, and should be zero up to floating-point slack.
 
 One engine advances R replications as one (R, n) state; ``run`` is its
 one-row case.  Each iteration does only what the next iterate needs and
-records its vectors in a reused block buffer: the oracle writes its
-estimate there, and the step writes the next iterate there.  Once per
-block, the objective values, the monitor inputs and the histories are
-derived from the recorded vectors by the same row-wise operations and all
-monitors are checked, so every row gets the bits its replication gets
-alone.
+records the same things in a reused block buffer, whatever the provider
+and step mode: the oracle writes its estimate there, the step its
+first-order vectors, s_L^T B s_L and the Cauchy factor, and the next
+iterate.  Once per block, the step s, x + s, the objective values, the
+monitor inputs and the histories are derived from the recorded vectors by
+the same elementwise and row-wise operations and all monitors are
+checked, so every row gets the bits its replication gets alone.
 """
 
 from dataclasses import dataclass, fields
@@ -58,7 +59,7 @@ BLOCK_BYTES = 256 * 1024  # the recorded vectors of a block fit in this
 # (unless two iterations, the fewest a block holds, take more)
 
 # The vectors each iteration records; g_true only with diagnostics.
-_VECTORS = ("x", "g", "d", "w", "delta", "s_l", "s", "x_raw", "g_true")
+_VECTORS = ("x", "g", "d", "w", "delta", "s_l", "g_true")
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,9 @@ def _rows_all(a):
     return a.view(row)[..., 0] == np.ones(a.shape[-1], bool).view(row)[0]
 
 
-def _vector_checks(x, x_raw, s, delta, box: BoundBox, kappa_s):
+def _vector_checks(x, s, delta, box: BoundBox, kappa_s):
     """The feasible and step_bound monitors over the last axis of x + s."""
+    x_raw = x + s  # the step's bits before its reprojection
     tol = SLACK * (1.0 + np.abs(x))
     inside = (x_raw >= box.lower - tol) & (x_raw <= box.upper + tol)
     return (_rows_all(inside),
@@ -148,50 +150,49 @@ def _monitor_checks(inputs, feasible, step_bound, xi, kappa_b, params):
     return checks
 
 
-def step(x, w, oracle_draw, provider, box: TiledBox, params: SolverParams,
-         slot, out):
+def _sign_step(x, g, delta, s_l, box, tau):
+    """The sign_adagrad step -sign(g) delta, clamped into F, or s_L.
+
+    Elementwise and row-wise over any stack (..., n) of rows.
+    """
+    s = np.multiply(-np.sign(g), delta)
+    np.clip(s, box.lower - x, box.upper - x, out=s)
+    # With B = 0 the model decrease condition reads g^T s <= tau g^T s_q;
+    # the feasibility clamp can break it near an active bound, in which
+    # case the projected first-order step is always admissible.  The
+    # zero provider makes gamma 1, so g^T s_q is g.s_L.
+    back = np.vecdot(g, s) > tau * np.vecdot(g, s_l)
+    np.copyto(s, s_l, where=back[..., None])
+    return s
+
+
+def step(x, w, g, provider, box: TiledBox, params: SolverParams, slot, out):
     """Advance the rows of x (R, n) by one iteration; return the next x, w.
 
-    ``box`` holds the bounds tiled to x's shape.  ``slot`` is one
-    iteration's place in the block buffer: the (R,) g.s_L, s_L^T B s_L and
-    gamma, then the (R, n) vectors of ``_VECTORS`` but x, which is the
-    slot's iterate already.  ``oracle_draw`` has written its estimate into
-    the slot's g; the iteration writes the others, and the next x into
-    ``out``; nothing else is computed here.  ``provider`` is None for the
-    zero operator in cauchy mode: gamma is 1 and s is s_L, so the iteration
-    writes only d, w, delta, s_L and x_raw, and ``_Histories.check`` fills
-    in the rest.
+    ``g`` is the oracle's estimate at x and ``box`` holds the bounds tiled
+    to x's shape.  ``slot`` is one iteration's place in the block buffer:
+    the (R,) s_L^T B s_L and gamma, then the (R, n) d, w, delta and s_L,
+    which the iteration writes, and the next x into ``out``; nothing else
+    is computed here.  ``provider`` is None for the zero operator: the slot
+    keeps its s_L^T B s_L = +0.0 and gamma = 1.
     """
-    g_sl, qf_sl, gamma, g, d, w_new, delta, s_l, s, x_raw, *g_true = slot
-    if g_true:
-        g_true[0][...] = oracle_draw.g_true
+    qf_sl, gamma, d, w_new, delta, s_l = slot
     _kernels.first_order(x, g, box.lower, box.upper, w, d, w_new, delta, s_l)
-    if provider is None:
-        np.add(x, s_l, out=x_raw)
-        return project_box(x_raw, box, out=out), w_new
-    qf_sl[...] = provider.quad_form(x, s_l)
-    np.vecdot(g, s_l, out=g_sl)
-    # min(1, -g.s_L / s_L^T B s_L) where the curvature is positive, else 1;
-    # np.fmin, like Python's min, keeps the 1 against a NaN ratio.
-    gamma.fill(1.0)
-    np.divide(-g_sl, qf_sl, out=gamma, where=qf_sl > 0.0)
-    np.fmin(gamma, 1.0, out=gamma)
-
-    if params.step_mode == "cauchy":
-        np.multiply(gamma[:, None], s_l, out=s)
-    else:  # sign_adagrad
-        np.multiply(-np.sign(g), delta, out=s)
-        np.clip(s, box.lower - x, box.upper - x, out=s)
-        # With B = 0 the model decrease condition reads g^T s <= tau g^T s_q;
-        # the feasibility clamp can break it near an active bound, in which
-        # case the projected first-order step is always admissible.  The
-        # zero provider makes gamma 1, so g^T s_q is g.s_L.
-        back = np.vecdot(g, s) > params.tau * g_sl
-        np.copyto(s, s_l, where=back[:, None])
-
-    np.add(x, s, out=x_raw)
+    if params.step_mode == "sign_adagrad":  # with the zero operator
+        s = _sign_step(x, g, delta, s_l, box, params.tau)
+    elif provider is None:  # gamma = 1
+        s = s_l
+    else:
+        qf_sl[...] = provider.quad_form(x, s_l)
+        g_sl = np.vecdot(g, s_l)
+        # min(1, -g.s_L / s_L^T B s_L) where the curvature is positive, else 1;
+        # np.fmin, like Python's min, keeps the 1 against a NaN ratio.
+        gamma.fill(1.0)
+        np.divide(-g_sl, qf_sl, out=gamma, where=qf_sl > 0.0)
+        np.fmin(gamma, 1.0, out=gamma)
+        s = np.multiply(gamma[:, None], s_l, out=out)
     # Reprojection removes the last-ulp rounding of x + (P(..) - x).
-    return project_box(x_raw, box, out=out), w_new
+    return project_box(np.add(x, s, out=out), box, out=out), w_new
 
 
 def running_mean(values: np.ndarray) -> np.ndarray:
@@ -250,14 +251,13 @@ class _Histories:
     the recorded vectors, evaluates the monitors and adds up the
     violations.  The block length keeps the recorded vectors within
     ``BLOCK_BYTES`` and at most ``BLOCK``, but at least 2: iteration k + 1
-    reads the estimate that iteration k left in its slot.  With
-    ``s_is_sl`` (the zero operator in cauchy mode) the step records only
-    its first-order vectors and x_raw, and ``check`` fills in g.s_L,
-    s_L^T B s_L = 0 and gamma = 1, and reads s as s_L.
+    reads the estimate that iteration k left in its slot.  The recorded
+    s_L^T B s_L and gamma start as the zero operator's +0.0 and 1, which
+    only a provider other than zero overwrites.
     """
 
     def __init__(self, obj, replications, horizon, diagnostics, box,
-                 kappa_b, params, s_is_sl):
+                 kappa_b, params):
         reps, n = len(replications), box.n
         shape = (reps, horizon)
         for name in HISTORIES:  # NaN stays where a diagnostic is not computed
@@ -267,16 +267,17 @@ class _Histories:
         self.length = max(2, min(BLOCK, BLOCK_BYTES // (8 * kinds * reps * n)))
         self.x = np.empty((self.length + 1, reps, n))
         self.vectors = np.empty((kinds - 1, self.length, reps, n))  # but x
-        self.scalars = np.empty((3, self.length, reps))  # g.s_L, qf_sL, gamma
+        self.scalars = np.empty((2, self.length, reps))  # qf_sL, gamma
+        self.scalars[0], self.scalars[1] = 0.0, 1.0
         self.iterates = list(self.x)
-        self.slots = list(zip(*self.scalars, *self.vectors))
+        self.slots = list(zip(*self.scalars, *self.vectors[1:5]))
         self.estimates = list(self.vectors[0])  # the slots' g
+        self.truths = list(self.vectors[5]) if diagnostics else None
         self.checked = MONITORS if diagnostics else MONITORS[:-1]
         self.failed = np.zeros((reps, len(self.checked)), dtype=np.int64)
         self._f = obj.f if diagnostics else None
         self._replications = replications
         self._box, self._limits = box, (kappa_b, params)
-        self._s_is_sl = s_is_sl
 
     def check_objective(self, k0, m):
         """Record f at iterates k0 to k0 + m - 1, in iterates 0 to m - 1.
@@ -303,32 +304,27 @@ class _Histories:
         self.check_objective(k0, m)
         kappa_b, params = self._limits
         box = self._box
-        g_sl, qf_sl, gamma = self.scalars[:, :m]  # (m, R)
+        qf_sl, gamma = self.scalars[:, :m]  # (m, R)
         x = self.x[:m]
-        g, d, w, delta, s_l, s, x_raw, *g_true = self.vectors[:, :m]
-        norm_sl_sq = np.vecdot(s_l, s_l)
-        if self._s_is_sl:
-            # What the step leaves out: the zero provider's s_L^T B s_L is
-            # +0.0, so gamma is 1 and s = 1.0 * s_L is s_L bit for bit.
-            np.vecdot(g, s_l, out=g_sl)
-            qf_sl.fill(0.0)
-            gamma.fill(1.0)
-            s, g_s, norm_s_sq = s_l, g_sl, norm_sl_sq
-        else:
-            g_s, norm_s_sq = np.vecdot(g, s), np.vecdot(s, s)
+        g, d, w, delta, s_l, *g_true = self.vectors[:, :m]
+        g_sl = np.vecdot(g, s_l)
+        if params.step_mode == "cauchy":
+            # 1.0 * s_L is s_L bit for bit; g.s_Q is g.s.
+            s = gamma[..., None] * s_l
+            g_s = g_sq = np.vecdot(g, s)
+        else:  # sign_adagrad, with B = 0: gamma is 1 and g.s_Q is g.s_L
+            s = _sign_step(x, g, delta, s_l, box, params.tau)
+            g_s, g_sq = np.vecdot(g, s), g_sl
         # s^T B s = gamma^2 s_L^T B s_L: s = gamma s_L for cauchy, and
         # sign_adagrad runs with B = 0, where s_L^T B s_L = +0.0 and gamma = 1.
-        # g.s_Q is g.s for cauchy, where s is gamma s_L bit for bit, and
-        # g.s_L for sign_adagrad.
-        g_sq = g_s if params.step_mode == "cauchy" else g_sl
         inputs = (g_sl, g_s, g_sq, qf_sl, gamma * gamma * qf_sl,
-                  (d * d / w).sum(axis=-1), norm_sl_sq,
+                  (d * d / w).sum(axis=-1), np.vecdot(s_l, s_l),
                   np.vecdot(delta, delta))
         norm_d = np.sqrt(np.vecdot(d, d))
         block = np.s_[:, k0:k0 + m]
         self.norm_d[block] = norm_d.T
         self.gamma[block] = gamma.T
-        self.step_sq[block] = norm_s_sq.T
+        self.step_sq[block] = np.vecdot(s, s).T
         xi = None
         if g_true:
             g_true, = g_true
@@ -339,7 +335,7 @@ class _Histories:
             self.err_norm[block] = err.T
             xi = norm_xi, norm_d, err
         bad = ~np.stack(_monitor_checks(
-            inputs, *_vector_checks(x, x_raw, s, delta, box, params.kappa_s),
+            inputs, *_vector_checks(x, s, delta, box, params.kappa_s),
             xi, kappa_b, params))  # (monitors, m, R)
         self.failed += bad.sum(axis=1).T
         self.violation_count[block] = bad.sum(axis=0).T
@@ -403,19 +399,17 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     if params.step_mode == "sign_adagrad" and curvature_spec.kind != "zero":
         raise ConfigurationError("sign_adagrad mode requires the zero provider")
     provider = make_provider(curvature_spec, obj)
-    # With the zero operator the Cauchy step is s_L itself.
-    s_is_sl = (type(provider) is ZeroCurvature
-               and params.step_mode == "cauchy")
     rngs = StreamRows([OracleStream(base_seed, r) for r in replications],
                       problem.box.n, horizon)
     box = problem.box
     reps = len(replications)
     rows = box.tile(reps)
     hist = _Histories(obj, replications, horizon, diagnostics, box,
-                      provider.kappa_b, params, s_is_sl)
+                      provider.kappa_b, params)
     iterates, estimates, slots = hist.iterates, hist.estimates, hist.slots
-    length, observe = hist.length, provider.observe
-    step_provider = None if s_is_sl else provider
+    truths, length, observe = hist.truths, hist.length, provider.observe
+    # The zero operator leaves s_L^T B s_L and gamma as recorded.
+    step_provider = None if type(provider) is ZeroCurvature else provider
     iterates[0][...] = SolverState.initial(problem.x_ini, box, params).x
     w = np.full((reps, box.n), params.sigma)
     x_prev = g_prev = None
@@ -430,6 +424,8 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
         od = draw(obj, x, oracle_model, rngs.at(k), with_true=diagnostics,
                   out=estimates[j])
         g = od.g
+        if diagnostics:
+            truths[j][...] = od.g_true
         if k > 0:
             observe(x_prev, x, g_prev, g)
         x_prev, g_prev = x, g
@@ -441,7 +437,7 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
                         replications)
 
         # Module attributes, looked up each iteration: a tracer may wrap them.
-        x, w = step(x, w, od, step_provider, rows, params, slots[j],
+        x, w = step(x, w, g, step_provider, rows, params, slots[j],
                     iterates[j + 1])
         if j == length - 1 or k == horizon - 1:
             hist.check(k - j, j + 1)

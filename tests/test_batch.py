@@ -18,7 +18,8 @@ from adagb2.curvature import CurvatureSpec, make_provider
 from adagb2.errors import ConfigurationError, NumericalError
 from adagb2.geometry import BoundBox
 from adagb2.harness import (ExperimentConfig, ExperimentResult,
-                            aggregate_results, write_experiment_outputs)
+                            aggregate_results, run_experiment,
+                            write_experiment_outputs)
 from adagb2.oracle import (AffineGaussian, BoundedUniform, ConstantBias,
                            Exact, Gaussian, OracleStream, RelativeBias,
                            Subsample, draw)
@@ -450,3 +451,76 @@ def test_a_wrong_table_entry_turns_the_block_path_off(monkeypatch):
         _assert_same_result(a, b)
     assert any(a.err_norm.tobytes() != b.err_norm.tobytes()
                for a, b in zip(block, unguarded))
+
+
+FAMILIES = ("boxed_quadratic", "boxed_rosenbrock", "boxed_nonconvex_quartic",
+            "finite_sum_logistic")
+
+
+def _layout_configs(count=12, seed=23):
+    """``count`` configurations drawn from the golden axes with a fixed seed:
+    family, oracle, curvature, step mode and diagnostics, at R=4 and 120
+    iterations."""
+    rng = np.random.default_rng(seed)
+    configs = {}
+    while len(configs) < count:
+        family = FAMILIES[rng.integers(len(FAMILIES))]
+        oracles = [o for o in sorted(ORACLES)  # subsampling needs a finite sum
+                   if o != "subsample" or family == "finite_sum_logistic"]
+        oracle_kind = oracles[rng.integers(len(oracles))]
+        step_mode = ("cauchy", "sign_adagrad")[int(rng.random() < 0.25)]
+        curvature = ("zero" if step_mode == "sign_adagrad"
+                     else CURVATURES[rng.integers(len(CURVATURES))])
+        diagnostics = bool(rng.integers(2))
+        name = (f"{family}/{oracle_kind}/{curvature}/{step_mode}/"
+                f"{'diag' if diagnostics else 'nodiag'}")
+        configs[name] = {
+            "problem": {"name": family, "dim": 3, "seed": 1},
+            "oracle": ORACLES[oracle_kind],
+            "curvature": {"kind": curvature, "kappa_b": 16.0},
+            "solver": {"step_mode": step_mode},
+            "run": {"horizon": 120, "replications": 4, "base_seed": 5,
+                    "diagnostics": diagnostics},
+        }
+    return configs
+
+
+LAYOUT_CONFIGS = _layout_configs()
+
+
+def test_layout_sample_covers_the_axes():
+    families, oracles, curvatures, step_modes, diagnostics = zip(
+        *(name.split("/") for name in LAYOUT_CONFIGS))
+    assert set(families) == set(FAMILIES)
+    assert set(curvatures) == set(CURVATURES)
+    assert set(step_modes) == {"cauchy", "sign_adagrad"}
+    assert set(diagnostics) == {"diag", "nodiag"}
+    # Gaussian-type noise reads the Philox block, whose refills are tested.
+    assert set(oracles) & {"gaussian", "affine_gaussian", "constant_bias"}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CONFIGS))
+def test_block_layout_leaves_results_unchanged(name, monkeypatch):
+    # Each knob of the engine's shape, varied alone, against the default
+    # run: the check blocks (7 iterations, then 2, the fewest), Philox
+    # blocks of 37 iterations (refills at k = 37, 74 and 111), a reordered
+    # subset of the replications, and two worker processes.
+    data = LAYOUT_CONFIGS[name]
+    config = ExperimentConfig.from_dict(data)
+    default = run_experiment(config).results
+    args = (config.build_problem(), config.oracle, config.curvature,
+            config.solver, config.horizon, config.base_seed)
+    kw = {"diagnostics": config.diagnostics}
+    for module, knob, value in ((solver, "BLOCK", 7),
+                                (solver, "BLOCK_BYTES", 1),
+                                (oracle, "BLOCK_COUNTERS", 4 * 37)):
+        with monkeypatch.context() as m:
+            m.setattr(module, knob, value)
+            for a, b in zip(default, run_batch(*args, 4, **kw)):
+                _assert_same_result(a, b)
+    for r, res in zip([3, 1], run_batch(*args, [3, 1], **kw)):
+        _assert_same_result(default[r], res)
+    two = {**data, "run": {**data["run"], "workers": 2}}
+    for a, b in zip(default, run_experiment(
+            ExperimentConfig.from_dict(two)).results):
+        _assert_same_result(a, b)

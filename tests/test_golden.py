@@ -10,10 +10,17 @@ block refills.  A few ``adagb2 mc`` runs hash their output files.  The
 digests are compared with ``golden_digests.json``.
 
 The bits depend on numpy (its Philox stream, its normal sampler, its SIMD
-``exp``/``log`` and reduction kernels), so the file records the numpy
-version and the platform it was made on; anywhere else the test skips and
-names both.  A changed digest is a change of results.  To record new
-digests after such a change, run from the root of a checkout::
+``exp``/``log`` and reduction kernels), so the file lists the environments
+(numpy version and platform) where every digest was checked; anywhere else
+the test skips and names them.  A changed digest is a change of results.
+To check every digest in any environment, and add the environment to the
+list if all of them match, run from the root of a checkout::
+
+    PYTHONPATH=src python tests/test_golden.py --verify
+
+It prints the mismatches, if any, and exits 1 without rewriting the file.
+To record new digests after a change of results (the list restarts with
+this environment)::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -212,15 +219,22 @@ def _mismatches(expected: dict, actual: dict) -> list:
                   if expected.get(k) != actual.get(k))
 
 
-def _golden():
+def _load() -> dict:
     with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
+        return json.load(fh)
+
+
+def _describe(env) -> str:
+    return f"numpy {env['numpy']} on {env['platform']}"
+
+
+def _golden():
+    golden = _load()
     here = environment()
-    if golden["environment"] != here:
-        pytest.skip(f"golden digests were recorded with numpy "
-                    f"{golden['environment']['numpy']} on "
-                    f"{golden['environment']['platform']}; this is numpy "
-                    f"{here['numpy']} on {here['platform']}")
+    if here not in golden["environments"]:
+        pytest.skip(f"golden digests were checked with "
+                    f"{'; '.join(map(_describe, golden['environments']))}; "
+                    f"this is {_describe(here)}")
     return golden
 
 
@@ -239,11 +253,28 @@ def test_mc_output_files_match_golden(tmp_path, capsys):
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    mode = sys.argv[1:]
+    if mode not in (["--write"], ["--verify"]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py "
+                 "--write | --verify")
     with tempfile.TemporaryDirectory() as tmp:
         files = file_digests(tmp)
+    runs, here = run_digests(), environment()
+    if mode == ["--write"]:
+        golden = {"environments": [here], "runs": runs, "files": files}
+    else:
+        golden = _load()
+        bad = (_mismatches(golden["runs"], runs)
+               + _mismatches(golden["files"], files))
+        for name in bad:
+            print(f"mismatch: {name}")
+        if bad:
+            sys.exit(f"{len(bad)} digests differ with {_describe(here)}")
+        print(f"all {len(runs)} run and {len(files)} file digests match "
+              f"with {_describe(here)}")
+        if here in golden["environments"]:
+            sys.exit(0)
+        golden["environments"].append(here)
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"environment": environment(), "runs": run_digests(),
-                   "files": files}, fh, indent=1, sort_keys=True)
+        json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from adagb2 import solver
-from adagb2.curvature import CurvatureProvider, CurvatureSpec
+from adagb2.curvature import CurvatureProvider, CurvatureSpec, ZeroCurvature
 from adagb2.errors import ConfigurationError, NumericalError
 from adagb2.geometry import BoundBox
 from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleStream, Subsample
 from adagb2.problem import Objective, make_test_problem
 from adagb2.problem import TestProblem as BoxProblem  # avoid pytest collection
-from adagb2.solver import MONITORS, SolverParams, SolverState, run, run_batch
+from adagb2.solver import (MONITORS, STEP_MODES, SolverParams, SolverState,
+                           run, run_batch)
 
 
 def _constant_gradient(g, box, x_ini):
@@ -161,6 +162,28 @@ def test_run_and_run_batch_reject_the_same_arguments(model, kind, params,
             fn(prob, model, CurvatureSpec(kind), params, horizon, 0, **extra)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("step_mode", STEP_MODES)
+def test_the_zero_operator_is_never_asked_for_a_quadratic_form(step_mode,
+                                                              monkeypatch):
+    # Its s_L^T B s_L is +0.0 and its Cauchy factor 1, in either step mode.
+    calls = []
+    quad_form = ZeroCurvature.quad_form
+
+    def counted(self, x, v):
+        calls.append(len(v))
+        return quad_form(self, x, v)
+
+    monkeypatch.setattr(ZeroCurvature, "quad_form", counted)
+    results = run_batch(make_test_problem("boxed_quadratic", 3, 0),
+                        Gaussian(0.1), CurvatureSpec("zero"),
+                        SolverParams(step_mode=step_mode), 300, base_seed=0,
+                        replications=2)
+    assert calls == []
+    for res in results:
+        assert res.total_violations == 0
+        assert (res.gamma == 1.0).all()
 
 
 class _Multiple(CurvatureProvider):
