@@ -8,7 +8,6 @@ randomness, runtime monitors for the per-iteration decrease inequalities,
 complexity-constant computations, and Monte Carlo experiment drivers.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .analysis import (ConstantsReport, chatzigeorgiou_bound,
                        compute_constants, counterexample_closed_form,
                        counterexample_simulate, lambert_w_minus1,
@@ -28,6 +27,7 @@ from .solver import (MONITORS, STEP_MODES, RunResult, SolverParams,
                      SolverState, run, run_batch)
 
 __version__ = "0.1.0"
+KERNEL_BACKEND = "pure"  # the only backend (numpy), kept for result metadata
 
 __all__ = [
     "Aggregate", "AffineGaussian", "BoundBox", "BoundedUniform",

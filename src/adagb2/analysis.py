@@ -9,6 +9,7 @@ make the approximate and true measures coherent.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -21,15 +22,13 @@ from .solver import RunResult, running_mean
 # Lambert W, lower branch
 # ---------------------------------------------------------------------------
 
-_BRANCH_POINT = -1.0 / math.e
-
-
 def lambert_w_minus1(x: float) -> float:
     """Lower real branch: w <= -1 with w * exp(w) = x, for x in [-1/e, 0).
 
     Series initialization near the branch point, asymptotic initialization
-    elsewhere, refined by Halley iterations; falls back to bisection if the
-    iteration stalls.
+    elsewhere, refined by Halley iterations.  Subnormal x, where exp(w)
+    underflows to a few significant bits, and any x whose Halley iterate
+    fails the residual test take Newton's method in log form instead.
     """
     x = float(x)
     if x >= 0.0:
@@ -39,6 +38,8 @@ def lambert_w_minus1(x: float) -> float:
         raise ValueError(f"lambert_w_minus1 requires x >= -1/e, got {x}")
     if t <= 1e-15:
         return -1.0
+    if -x < sys.float_info.min:  # subnormal: exp(w) is too coarse to test
+        return _log_newton_w(x)
 
     if t < 0.25:
         p = math.sqrt(2.0 * t)
@@ -63,26 +64,21 @@ def lambert_w_minus1(x: float) -> float:
             break
     if abs(w * math.exp(w) - x) <= 1e-12 * abs(x):
         return w
-    return _bisect_w(x)
+    return _log_newton_w(x)
 
 
-def _bisect_w(x: float) -> float:
-    # w e^w is decreasing on (-inf, -1]; bracket then bisect.
-    lo, hi = -1.0, -1.0
-    step = 1.0
-    while lo * math.exp(lo) > x:
-        hi = lo
-        lo -= step
-        step *= 2.0
-        if lo < -800.0:
+def _log_newton_w(x: float) -> float:
+    """W_-1(x) by Newton's method on w + log(-w) = log(-x), from the
+    asymptotic guess; no exp(w), so no underflow for subnormal x."""
+    l1 = math.log(-x)
+    l2 = math.log(-l1)
+    w = l1 - l2 + l2 / l1
+    for _ in range(60):
+        dw = (w + math.log(-w) - l1) / (1.0 + 1.0 / w)
+        w -= dw
+        if abs(dw) <= 1e-16 * abs(w):
             break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) > x:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return w
 
 
 def chatzigeorgiou_bound(x: float):

@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_mc)
     p_mc.add_argument("--epsilon", type=float, default=None,
                       help="criticality target for the probability report")
-    p_mc.add_argument("--delta", type=float, default=0.1,
-                      help="failure probability for the probability report")
+    p_mc.add_argument("--delta", type=float, default=None,
+                      help="failure probability for --epsilon (default 0.1)")
     p_mc.add_argument("--fit-kmin", type=int, default=None)
     p_mc.add_argument("--fit-kmax", type=int, default=None)
 
@@ -123,6 +123,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if (args.fit_kmin is None) != (args.fit_kmax is None):
+        raise ConfigurationError("--fit-kmin and --fit-kmax go together")
+    if args.delta is not None and args.epsilon is None:
+        raise ConfigurationError("--delta needs --epsilon")
     config = _load_config(args, force_single=False)
     if args.epsilon is not None:
         if not config.diagnostics:
@@ -135,14 +139,14 @@ def _cmd_mc(args) -> int:
     agg = exp.aggregate
     last = config.horizon - 1
     extras = {}
-    if args.fit_kmin is not None and args.fit_kmax is not None:
+    if args.fit_kmin is not None:
         slope, intercept, r2 = fit_rate(agg, args.fit_kmin, args.fit_kmax)
         extras["rate_fit"] = {"slope": slope, "intercept": intercept, "r2": r2}
         print(f"rate fit over [{args.fit_kmin}, {args.fit_kmax}]: "
               f"slope={slope:.4f} r2={r2:.4f}")
     if args.epsilon is not None:
-        report = markov_complexity_report(exp.results, args.epsilon,
-                                          args.delta,
+        delta = 0.1 if args.delta is None else args.delta
+        report = markov_complexity_report(exp.results, args.epsilon, delta,
                                           constants.kappa_conv_exact)
         extras["probability_report"] = report
         print(f"P(min ||Xi|| <= {args.epsilon}) empirical="
@@ -206,6 +210,13 @@ def _check_lambert_residual(seed) -> bool:
     for x in xs:
         w = lambert_w_minus1(float(x))
         if abs(w * math.exp(w) - x) > 1e-12 * abs(x):
+            return False
+    # Subnormal x, where exp(w) underflows: the residual in log form,
+    # log(w e^w / x), which is about the relative residual above.
+    for x in -np.geomspace(math.ulp(0.0), sys.float_info.min, 1000,
+                           endpoint=False):
+        w = lambert_w_minus1(float(x))
+        if abs(w + math.log(-w) - math.log(-x)) > 1e-12:
             return False
     return abs(lambert_w_minus1(-1.0 / math.e) + 1.0) <= 1e-9
 

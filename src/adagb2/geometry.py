@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 
 def _as_vector(v, name):
     a = np.ascontiguousarray(v, dtype=np.float64)
@@ -95,8 +93,8 @@ def project_box(y, box: BoundBox, out=None) -> np.ndarray:
         raise ValueError(f"dimension mismatch: y has {y.shape[-1]}, box has {box.n}")
     if out is None:
         out = np.empty_like(y)
-    _kernels.project_box(y, box.lower, box.upper, out)
-    return out
+    np.minimum(y, box.upper, out=out)
+    return np.maximum(out, box.lower, out=out)
 
 
 def project_box_cap_trust(y, box: BoundBox, center, radii) -> np.ndarray:
@@ -121,5 +119,7 @@ def project_box_cap_trust(y, box: BoundBox, center, radii) -> np.ndarray:
         where = ", ".join(str(int(i)) for i in bad)
         raise ValueError(f"negative trust radius: radii[{where}]={radii[bad]}")
     out = np.empty_like(y)
-    _kernels.project_box_cap_trust(y, box.lower, box.upper, center, radii, out)
-    return out
+    np.minimum(y, center + radii, out=out)
+    np.minimum(out, box.upper, out=out)
+    np.maximum(out, center - radii, out=out)
+    return np.maximum(out, box.lower, out=out)

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, geometry
 from .curvature import CurvatureSpec, ZeroCurvature, make_provider
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, TiledBox, project_box
@@ -89,7 +89,7 @@ class SolverState:
 
     @classmethod
     def initial(cls, x_ini, box: BoundBox, params: SolverParams) -> "SolverState":
-        x0 = project_box(np.asarray(x_ini, dtype=np.float64), box)
+        x0 = geometry.project_box(np.asarray(x_ini, dtype=np.float64), box)
         return cls(x=x0, w=np.full(box.n, params.sigma))
 
 
@@ -191,7 +191,8 @@ def step(x, w, g, provider, box: TiledBox, params: SolverParams, slot, out):
         np.divide(-g_sl, qf_sl, out=gamma, where=qf_sl > 0.0)
         np.fmin(gamma, 1.0, out=gamma)
         s = np.multiply(gamma[:, None], s_l, out=out)
-    # Reprojection removes the last-ulp rounding of x + (P(..) - x).
+    # Reprojection removes the last-ulp rounding of x + (P(..) - x).  The
+    # only call by this module's name: a tracer patching it counts steps.
     return project_box(np.add(x, s, out=out), box, out=out), w_new
 
 
@@ -328,7 +329,7 @@ class _Histories:
         xi = None
         if g_true:
             g_true, = g_true
-            xi_k = project_box(x - g_true, box) - x
+            xi_k = geometry.project_box(x - g_true, box) - x
             e = g - g_true
             norm_xi, err = np.sqrt(np.vecdot(xi_k, xi_k)), np.sqrt(np.vecdot(e, e))
             self.norm_xi[block] = norm_xi.T

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ def test_lambert_residual_sweep():
         assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
 
 
+def test_lambert_subnormal_log_residual_sweep():
+    # exp(w) underflows here, so the residual is taken in log form:
+    # w + log(-w) = log(-x).  The sweep starts at -5e-324.
+    xs = -np.geomspace(math.ulp(0.0), sys.float_info.min, 2000, endpoint=False)
+    ws = [lambert_w_minus1(float(x)) for x in xs]
+    assert ws[0] == pytest.approx(-751.0615595398790, rel=1e-14)
+    assert all(w <= -1.0 for w in ws)
+    residual = [abs(w + math.log(-w) - math.log(-x)) for w, x in zip(ws, xs)]
+    assert max(residual) <= 1e-12
+    # W_-1 rises from -inf at 0- towards -1: no step down at the smallest
+    # normal number either.
+    assert ws == sorted(ws)
+    assert lambert_w_minus1(-sys.float_info.min) > ws[-1]
+
+
 def test_lambert_domain_errors():
     with pytest.raises(ValueError):
         lambert_w_minus1(0.0)
@@ -57,6 +73,14 @@ def test_chatzigeorgiou_bound_holds():
     for x in rng.uniform(1e-8, 100.0, 1000):
         lhs, rhs = chatzigeorgiou_bound(float(x))
         assert lhs <= rhs * (1.0 + 1e-12)
+
+
+def test_chatzigeorgiou_bound_with_a_subnormal_argument():
+    # -exp(-711) is subnormal; |W_-1| = lhs solves lhs - log(lhs) = 711.
+    lhs, rhs = chatzigeorgiou_bound(710.0)
+    assert lhs == pytest.approx(717.5758786963228, rel=1e-12)
+    assert lhs - math.log(lhs) == pytest.approx(711.0, rel=1e-12)
+    assert lhs <= rhs
 
 
 def test_chatzigeorgiou_requires_positive():

@@ -30,14 +30,16 @@ def test_constants_hand_example(capsys):
     assert "kappa_W = 24" in out
 
 
-def test_constants_json_format(capsys):
+def test_constants_json_format(tmp_path, capsys):
+    path = tmp_path / "constants.json"
     code = cli_main(["constants", "--sigma", "0.1", "--tau", "1",
                      "--kappa-s", "1", "--kappa-b", "2", "--kappa-gg", "0",
                      "--lipschitz", "4", "--gamma0", "1", "--dim", "2",
-                     "--format", "json"])
+                     "--format", "json", "--out", str(path)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kappa_conv_exact"] <= payload["kappa_conv_upper"]
+    assert json.loads(path.read_text()) == payload  # --out writes the report
 
 
 def test_constants_invalid_values(capsys):
@@ -99,6 +101,54 @@ def test_mc_epsilon_without_diagnostics_is_usage_error(config_path, capsys):
     assert code == 2
     assert "--epsilon needs diagnostics" in captured.err
     assert "empirical=" not in captured.out
+
+
+@pytest.mark.parametrize("given", [["--fit-kmin", "10"], ["--fit-kmax", "39"]])
+def test_mc_half_a_fit_range_is_usage_error(config_path, tmp_path, capsys,
+                                            given):
+    out_dir = tmp_path / "out"
+    code = cli_main(["mc", "--config", config_path, "--out", str(out_dir),
+                     *given])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --fit-kmin and --fit-kmax go together\n"
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_mc_delta_without_epsilon_is_usage_error(config_path, tmp_path,
+                                                 capsys):
+    out_dir = tmp_path / "out"
+    code = cli_main(["mc", "--config", config_path, "--out", str(out_dir),
+                     "--delta", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --delta needs --epsilon\n"
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_mc_delta_defaults_to_a_tenth_under_epsilon(tmp_path, capsys):
+    # solver.sigma 1 makes event A fail on one of the two replications:
+    # p_A = 0.5 <= 1 - delta, so the corollary gives no iteration count.
+    path = _write(tmp_path, {**CONFIG, "solver": {"sigma": 1.0}})
+    code = cli_main(["mc", "--config", path, "--out", str(tmp_path / "mc"),
+                     "--epsilon", "0.05"])
+    assert code == 0
+    assert "theoretical k=inf p_A=0.500" in capsys.readouterr().out
+    report = json.loads((tmp_path / "mc" / "analysis.json").read_text())
+    report = report["probability_report"]
+    assert report["delta"] == 0.1 and report["k_theoretical"] == float("inf")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_numerical_failure_exits_1(tmp_path, capsys):
+    # Noise of scale 1e308 overflows a gradient estimate to inf.
+    path = _write(tmp_path, {**CONFIG, "oracle": {"kind": "gaussian",
+                                                  "sigma": 1e308}})
+    assert cli_main(["run", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "numerical failure: non-finite gradient estimate")
+    assert captured.out == ""
 
 
 def _write(tmp_path, config):
@@ -280,3 +330,13 @@ def test_verify_deterministic(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "bound holds" in out
+
+
+def test_verify_deterministic_inapplicable_exits_0(capsys):
+    # ||d_0||^2 = 0.2519 at this problem's start, below sigma = 0.5.
+    code = cli_main(["verify-deterministic", "--sigma", "0.5",
+                     "--horizon", "50"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("corollary inapplicable: hypothesis "
+                          "sigma < ||d_0||^2 fails (0.5 >= 0.25")

@@ -115,6 +115,17 @@ def test_config_type_errors():
     assert cfg.solver.tau == 1.0 and isinstance(cfg.solver.tau, float)
 
 
+@pytest.mark.parametrize("section, key, message", [
+    ("problem", "dim", "problem.dim: must be >= 1, got 0"),
+    ("run", "horizon", "run.horizon: must be >= 1"),
+    ("run", "replications", "run.replications: must be >= 1"),
+    ("run", "workers", "run.workers: must be >= 1"),
+])
+def test_config_counts_must_be_positive(section, key, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        ExperimentConfig.from_dict(_config(**{section: {key: 0}}))
+
+
 def test_config_nested_oracle():
     cfg = ExperimentConfig.from_dict(_config(oracle={
         "kind": "constant_bias", "bias": [0.05, 0.0, 0.0, 0.0],
@@ -385,6 +396,9 @@ def test_write_experiment_outputs_csv_and_json(tmp_path):
     summary = json.loads((tmp_path / "json" / "summary.json").read_text())
     assert summary["horizon"] == 50
     assert summary["p_A"] == exp.aggregate.p_a
+    with pytest.raises(ConfigurationError,
+                       match="^unknown output format 'xml'$"):
+        write_experiment_outputs(exp, str(tmp_path / "xml"), fmt="xml")
 
 
 def test_traces_csv_matches_fmt_reference(tmp_path):

@@ -1,10 +1,12 @@
-"""The numpy kernels against an independent scalar reference.
+"""The first-order kernel and the box projections against an independent
+scalar reference.
 
 The reference clamps one coordinate at a time with Python's ``min``/``max``
-and ``math.sqrt``, in the kernels' order of operations, so every output
-must agree bit for bit.  Each kernel is called on 1-d vectors and once on
-an (R, n) stack of rows with (n,) bounds.  ``run_batch`` passes the bounds
-tiled to (R, n), which must give the bits of the broadcast (n,) bounds.
+and ``math.sqrt``, in the numpy functions' order of operations, so every
+output must agree bit for bit.  Each function is called on 1-d vectors and
+once on an (R, n) stack of rows with (n,) bounds.  ``run_batch`` passes the
+bounds tiled to (R, n), which must give the bits of the broadcast (n,)
+bounds.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from adagb2 import _kernels
-from adagb2.geometry import BoundBox
+from adagb2.geometry import BoundBox, TiledBox, project_box, project_box_cap_trust
 
 ROWS = 300
 
@@ -72,10 +74,9 @@ def _check_first_order(x, g, lower, upper, w_prev):
 
 
 def _check_projections(y, lower, upper, center, radii):
-    box = np.empty_like(y)
-    capped = np.empty_like(y)
-    _kernels.project_box(y, lower, upper, box)
-    _kernels.project_box_cap_trust(y, lower, upper, center, radii, capped)
+    bounds = BoundBox(lower, upper)
+    box = project_box(y, bounds)
+    capped = project_box_cap_trust(y, bounds, center, radii)
     lo, up = lower.tolist(), upper.tolist()
     for yr, cr, rr, got_box, got_capped in zip(
             *_rows(y, center, radii, box, capped)):
@@ -128,13 +129,14 @@ def test_first_order_values():
     assert s_l[0] == max(0.0, 0.5 - delta[0]) - 0.5
 
 
-def _kernel_outputs(x, g, w_prev, y, radii, lower, upper):
-    """Every kernel's output and the sign_adagrad clip, as bytes."""
+def _kernel_outputs(x, g, w_prev, y, radii, bounds):
+    """The kernel's and both projections' outputs and the sign_adagrad
+    clip, as bytes."""
+    lower, upper = bounds.lower, bounds.upper
     outs = [np.empty_like(x) for _ in range(4)]
     _kernels.first_order(x, g, lower, upper, w_prev, *outs)
-    box, capped = np.empty_like(y), np.empty_like(y)
-    _kernels.project_box(y, lower, upper, box)
-    _kernels.project_box_cap_trust(y, lower, upper, x, radii, capped)
+    box = project_box(y, bounds)
+    capped = project_box_cap_trust(y, bounds, x, radii)
     s = -np.sign(g) * outs[2]
     np.clip(s, lower - x, upper - x, out=s)
     return [a.tobytes() for a in (*outs, box, capped, s)]
@@ -160,20 +162,21 @@ def test_tiled_bounds_match_broadcast_bounds(bounds):
     g[0, 0] = 0.0  # sign 0: no sign step on that coordinate
     args = (x, g, rng.uniform(1e-8, 10, (reps, n)),
             rng.uniform(-8, 8, (reps, n)), rng.uniform(0, 3, (reps, n)))
-    assert (_kernel_outputs(*args, rows.lower, rows.upper)
-            == _kernel_outputs(*args, box.lower, box.upper))
+    assert _kernel_outputs(*args, rows) == _kernel_outputs(*args, box)
 
 
 def _four_clamp_first_order(x, g, lower, upper, w_prev):
     """``first_order`` with s_L as P_{F cap B}(x - g) - x, the four clamps of
-    ``project_box_cap_trust``: the form the kernel is checked against."""
-    d, w, delta, s_l = (np.empty_like(x) for _ in range(4))
+    ``project_box_cap_trust``: the form the kernel is checked against.  The
+    bounds differ from row to row, so they form a ``TiledBox``."""
+    box = TiledBox(lower, upper)
+    d, w, delta = (np.empty_like(x) for _ in range(3))
     y = x - g
-    _kernels.project_box(y, lower, upper, d)
+    project_box(y, box, out=d)
     np.subtract(d, x, out=d)
     np.sqrt(w_prev * w_prev + d * d, out=w)
     np.divide(np.abs(d), w, out=delta)
-    _kernels.project_box_cap_trust(y, lower, upper, x, delta, s_l)
+    s_l = project_box_cap_trust(y, box, x, delta)
     np.subtract(s_l, x, out=s_l)
     return d, w, delta, s_l
 

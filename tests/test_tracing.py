@@ -57,10 +57,10 @@ def test_tracer_patches_the_solver_and_restores_it(monkeypatch):
         batch = [tracer.calls(name) - n for name, n in zip(names, alone)]
     finally:
         tracer.uninstall()
-    # One call of each per iteration, of run() and of run_batch alike, and
-    # two more projections: the starting point and the one block's Xi.
-    assert alone == [1, 20, 20, 20, 22]
-    assert batch == [0, 20, 20, 20, 22]
+    # One call of each per iteration, of run() and of run_batch alike: the
+    # starting point and the blocks' Xi are projected past the patched name.
+    assert alone == [1, 20, 20, 20, 20]
+    assert batch == [0, 20, 20, 20, 20]
     after = _patched_attributes()
     assert all(after[key] is before[key] for key in before)
 
