@@ -31,18 +31,22 @@ def first_order(x, g, lower, upper, w_prev, d_out, w_out, delta_out, sl_out):
     x = P_F(x) bit for bit (a +0.0 against a lower bound of -0.0 is in F
     but gives s_L the other zero).  Every iterate is a projection onto F.
     """
-    np.subtract(x, g, out=sl_out)
-    np.minimum(sl_out, upper, out=sl_out)  # P_F(x - g)
-    np.maximum(sl_out, lower, out=sl_out)
-    np.subtract(sl_out, x, out=d_out)
-    np.multiply(d_out, d_out, out=w_out)
-    t = w_prev * w_prev
-    np.add(t, w_out, out=w_out)
-    np.sqrt(w_out, out=w_out)
-    np.abs(d_out, out=delta_out)
-    np.divide(delta_out, w_out, out=delta_out)
-    np.subtract(x, delta_out, out=t)
-    np.maximum(sl_out, t, out=sl_out)
-    np.add(x, delta_out, out=t)
-    np.minimum(sl_out, t, out=sl_out)
-    np.subtract(sl_out, x, out=sl_out)
+    # Bound once; a positional ``out`` is cheaper than the keyword, but
+    # numpy deprecates it for np.minimum and np.maximum.
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    minimum, maximum = np.minimum, np.maximum
+    subtract(x, g, sl_out)
+    minimum(sl_out, upper, out=sl_out)  # P_F(x - g)
+    maximum(sl_out, lower, out=sl_out)
+    subtract(sl_out, x, d_out)
+    multiply(d_out, d_out, w_out)
+    t = multiply(w_prev, w_prev)
+    add(t, w_out, w_out)
+    np.sqrt(w_out, w_out)
+    np.abs(d_out, delta_out)
+    np.divide(delta_out, w_out, delta_out)
+    subtract(x, delta_out, t)
+    maximum(sl_out, t, out=sl_out)
+    add(x, delta_out, t)
+    minimum(sl_out, t, out=sl_out)
+    subtract(sl_out, x, sl_out)

@@ -20,10 +20,10 @@ from .analysis import (chatzigeorgiou_bound, compute_constants,
 from .curvature import CurvatureSpec
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, project_box, project_box_cap_trust
-from .harness import (ExperimentConfig, fit_rate, markov_complexity_report,
-                      run_experiment, theory_constants,
-                      verify_deterministic_bound, write_experiment_outputs,
-                      write_summary_json)
+from .harness import (ExperimentConfig, check_fit_range, fit_rate,
+                      markov_complexity_report, run_experiment,
+                      theory_constants, verify_deterministic_bound,
+                      write_experiment_outputs, write_summary_json)
 from .problem import PROBLEM_NAMES, check_smoothness, make_test_problem
 from .solver import SolverParams
 
@@ -128,6 +128,8 @@ def _cmd_mc(args) -> int:
     if args.delta is not None and args.epsilon is None:
         raise ConfigurationError("--delta needs --epsilon")
     config = _load_config(args, force_single=False)
+    if args.fit_kmin is not None:  # checked before the run, not after it
+        check_fit_range(args.fit_kmin, args.fit_kmax, config.horizon)
     if args.epsilon is not None:
         if not config.diagnostics:
             raise ConfigurationError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .problem import Objective
+from .problem import ConstantBound, Objective
 
 CURVATURE_KINDS = ("zero", "exact_clipped", "scalar_bb", "diagonal_fd")
 
@@ -64,37 +64,53 @@ class ScalarBB(CurvatureProvider):
 
     Negative curvature maps to the zero operator for that step; before the
     first observed pair the operator is zero as well.  Each row keeps its
-    own scalar.
+    own scalar, updated in place.
     """
 
     def __init__(self, kappa_b: float):
         super().__init__(kappa_b)
-        self.sigma = 0.0
+        self.sigma = np.zeros(())  # one per row from the first pair on
 
     def matvec(self, x, v):
-        # sigma is 0.0 before the first observed pair, then one per row.
-        return np.asarray(self.sigma)[..., None] * np.asarray(v, dtype=np.float64)
+        return np.multiply(self.sigma[..., None],
+                           np.asarray(v, dtype=np.float64))
+
+    def quad_form(self, x, v):
+        return np.vecdot(v, np.multiply(self.sigma[..., None], v))
 
     def observe(self, x_prev, x_new, g_prev, g_new):
-        s = x_new - x_prev
-        ss = np.vecdot(s, s)
-        # Per row; a zero step keeps the row's previous scalar, which is
-        # already clipped.  The clip keeps Python's min/max tie and NaN rules;
-        # a diverging run's inf/inf is NaN, silently.
-        sigma = np.full(ss.shape, self.sigma)
-        with np.errstate(invalid="ignore"):
-            np.divide(np.vecdot(s, g_new - g_prev), ss, out=sigma,
-                      where=ss != 0.0)
-        np.copyto(sigma, 0.0, where=0.0 > sigma)
-        np.copyto(sigma, self.kappa_b, where=self.kappa_b < sigma)
-        self.sigma = sigma
+        if self.sigma.ndim == 0:  # the first pair: one scalar per row
+            rows = np.shape(x_new)[:-1]
+            self.sigma = np.full(rows, self.sigma)
+            # s and y side by side, and the clip's bounds, for every pair
+            self._work = (np.empty((2, *np.shape(x_new))), np.zeros(rows),
+                          np.full(rows, self.kappa_b))
+        pair, zero, kappa_b = self._work
+        s = pair[0]
+        np.subtract(x_new, x_prev, s)
+        # A diverging run's inf/inf is NaN, silently; the ratio of a zero
+        # step is not kept.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.subtract(g_new, g_prev, pair[1])
+            dots = np.vecdot(s, pair)  # s.s and s.y, each as alone
+            ss = dots[0]
+            ratio = dots[1] / ss
+        # The clip keeps Python's min/max tie and NaN rules: NaN and -0.0
+        # stay (np.maximum would turn -0.0 into +0.0), and kappa_b >= 1
+        # leaves np.minimum no signed zero to choose between.
+        clipped = np.minimum(ratio, kappa_b)
+        np.copyto(clipped, zero, where=np.less(clipped, zero))
+        # A zero step keeps the row's previous scalar, already clipped.
+        np.copyto(self.sigma, clipped, where=np.not_equal(ss, zero))
 
 
 class ExactClipped(CurvatureProvider):
     """True Hessian action scaled by kappa_b / max(kappa_b, hess_bound(x)).
 
     ``hess_bound`` is a certified upper bound on ||H(x)||, so the scaled
-    operator has norm at most kappa_b.  The provider keeps no state.
+    operator has norm at most kappa_b.  A bound that holds on the whole box
+    (``ConstantBound``) gives one scale for the run, with the bits of the
+    per-row scale.  The provider keeps no state.
     """
 
     def __init__(self, kappa_b: float, obj: Objective):
@@ -106,13 +122,23 @@ class ExactClipped(CurvatureProvider):
             )
         self._hess_vec = obj.hess_vec
         self._hess_bound = obj.hess_bound
+        self._scale = None
+        if isinstance(obj.hess_bound, ConstantBound):
+            kb = self.kappa_b
+            self._scale = float(kb / np.maximum(kb, obj.hess_bound.bound))
 
     def matvec(self, x, v):
-        x = np.asarray(x, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        kb = self.kappa_b
-        scale = kb / np.maximum(kb, self._hess_bound(x))  # one per row
-        return scale[..., None] * self._hess_vec(x, v)
+        hv = self._hess_vec(x, v)
+        scale = self._scale
+        if scale is None:
+            kb = self.kappa_b
+            scale = (kb / np.maximum(kb, self._hess_bound(x)))[..., None]
+        elif scale == 1.0:  # 1.0 * hv is hv, bit for bit
+            return hv
+        return scale * hv
+
+    def quad_form(self, x, v):
+        return np.vecdot(v, self.matvec(x, v))
 
 
 class DiagonalFD(CurvatureProvider):

@@ -280,6 +280,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def check_fit_range(k_min: int, k_max: int, length: int) -> None:
+    """Raise ValueError unless [k_min, k_max] is a fit range of ``fit_rate``
+    over series of ``length`` iterations."""
+    if not k_max > k_min >= 1:
+        raise ValueError(f"need k_max > k_min >= 1, got [{k_min}, {k_max}]")
+    if k_max >= length:
+        raise ValueError(f"k_max {k_max} outside aggregated range {length}")
+
+
 def fit_rate(aggregate: Aggregate, k_min: int, k_max: int,
              series: str = "run_avg_d"):
     """Log-log least-squares slope of a running-average series.
@@ -290,13 +299,8 @@ def fit_rate(aggregate: Aggregate, k_min: int, k_max: int,
     Additive noise of fixed scale is not controlled: ||d_k|| then sits at a
     noise floor and no slope near -1/2 is to be expected.
     """
-    if not k_max > k_min >= 1:
-        raise ValueError(f"need k_max > k_min >= 1, got [{k_min}, {k_max}]")
     values = getattr(aggregate, series)
-    if k_max >= values.shape[0]:
-        raise ValueError(
-            f"k_max {k_max} outside aggregated range {values.shape[0]}"
-        )
+    check_fit_range(k_min, k_max, values.shape[0])
     y_raw = values[k_min:k_max + 1]
     if not (np.isfinite(y_raw) & (y_raw > 0)).all():
         raise ValueError(f"series {series} not positive over the fit range")
@@ -482,6 +486,8 @@ def experiment_summary(exp: ExperimentResult) -> dict:
 def write_experiment_outputs(exp: ExperimentResult, out_dir: str,
                              fmt: str = "csv") -> list:
     """Write aggregate, traces (optional) and summary; returns paths."""
+    if fmt not in ("csv", "json"):  # before out_dir is made
+        raise ConfigurationError(f"unknown output format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     if fmt == "csv":
@@ -492,12 +498,10 @@ def write_experiment_outputs(exp: ExperimentResult, out_dir: str,
             tr_path = os.path.join(out_dir, "traces.csv")
             write_traces_csv(tr_path, exp.results)
             paths.append(tr_path)
-    elif fmt == "json":
+    else:
         agg_path = os.path.join(out_dir, "aggregate.json")
         write_summary_json(agg_path, exp.aggregate.columns())
         paths.append(agg_path)
-    else:
-        raise ConfigurationError(f"unknown output format {fmt!r}")
     summary_path = os.path.join(out_dir, "summary.json")
     write_summary_json(summary_path, experiment_summary(exp))
     paths.append(summary_path)

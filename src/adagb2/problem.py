@@ -77,9 +77,14 @@ def _value(total):
     return float(total) if total.ndim == 0 else total
 
 
-def _constant_bound(bound):
+class ConstantBound:
     """``hess_bound`` of a Hessian norm bound that holds on the whole box."""
-    return lambda x: _value(np.full(np.shape(x)[:-1], bound))
+
+    def __init__(self, bound: float):
+        self.bound = bound
+
+    def __call__(self, x):
+        return _value(np.full(np.shape(x)[:-1], self.bound))
 
 
 def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
@@ -106,7 +111,7 @@ def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
         f=lambda x: _value((0.5 * a * x * x - b * x).sum(axis=-1)),
         grad=lambda x: a * x - b,
         hess_vec=lambda x, v: a * v,
-        hess_bound=_constant_bound(float(a.max())),
+        hess_bound=ConstantBound(float(a.max())),
         f_low=f_min,
         lipschitz=float(a.max()),
     )
@@ -254,7 +259,7 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
         f=f,
         grad=grad,
         hess_vec=hess_vec,
-        hess_bound=_constant_bound(lipschitz),
+        hess_bound=ConstantBound(lipschitz),
         f_low=0.0,
         lipschitz=lipschitz,
         num_terms=m,

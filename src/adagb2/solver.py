@@ -166,31 +166,35 @@ def _sign_step(x, g, delta, s_l, box, tau):
     return s
 
 
-def step(x, w, g, provider, box: TiledBox, params: SolverParams, slot, out):
+def step(x, w, g, cauchy, box: TiledBox, params: SolverParams, slot, out):
     """Advance the rows of x (R, n) by one iteration; return the next x, w.
 
     ``g`` is the oracle's estimate at x and ``box`` holds the bounds tiled
     to x's shape.  ``slot`` is one iteration's place in the block buffer:
-    the (R,) s_L^T B s_L and gamma, then the (R, n) d, w, delta and s_L,
-    which the iteration writes, and the next x into ``out``; nothing else
-    is computed here.  ``provider`` is None for the zero operator: the slot
-    keeps its s_L^T B s_L = +0.0 and gamma = 1.
+    the (R,) s_L^T B s_L and gamma, gamma's (R, 1) view, then the (R, n) d,
+    w, delta and s_L, which the iteration writes, and the next x into
+    ``out``; nothing else is computed here.  ``cauchy`` is the provider's
+    ``quad_form`` with (R,) arrays of 0.0 and 1.0 and an (R,) buffer for the
+    ratio, made once per run, or None for the zero operator: the slot keeps
+    its s_L^T B s_L = +0.0 and gamma = 1.
     """
-    qf_sl, gamma, d, w_new, delta, s_l = slot
+    qf_sl, gamma, gamma_column, d, w_new, delta, s_l = slot
     _kernels.first_order(x, g, box.lower, box.upper, w, d, w_new, delta, s_l)
     if params.step_mode == "sign_adagrad":  # with the zero operator
         s = _sign_step(x, g, delta, s_l, box, params.tau)
-    elif provider is None:  # gamma = 1
+    elif cauchy is None:  # gamma = 1
         s = s_l
     else:
-        qf_sl[...] = provider.quad_form(x, s_l)
-        g_sl = np.vecdot(g, s_l)
-        # min(1, -g.s_L / s_L^T B s_L) where the curvature is positive, else 1;
-        # np.fmin, like Python's min, keeps the 1 against a NaN ratio.
-        gamma.fill(1.0)
-        np.divide(-g_sl, qf_sl, out=gamma, where=qf_sl > 0.0)
-        np.fmin(gamma, 1.0, out=gamma)
-        s = np.multiply(gamma[:, None], s_l, out=out)
+        quad_form, zero, one, ratio = cauchy
+        qf_sl[...] = quad_form(x, s_l)
+        # min(1, -g.s_L / s_L^T B s_L) where the curvature is positive, else
+        # 1: elsewhere the ratio is NaN, and np.fmin, like Python's min,
+        # keeps the 1 against a NaN ratio.
+        ratio.fill(np.nan)
+        np.divide(-np.vecdot(g, s_l), qf_sl, out=ratio,
+                  where=np.greater(qf_sl, zero))
+        np.fmin(ratio, one, out=gamma)
+        s = np.multiply(gamma_column, s_l, out=out)
     # Reprojection removes the last-ulp rounding of x + (P(..) - x).  The
     # only call by this module's name: a tracer patching it counts steps.
     return project_box(np.add(x, s, out=out), box, out=out), w_new
@@ -271,7 +275,9 @@ class _Histories:
         self.scalars = np.empty((2, self.length, reps))  # qf_sL, gamma
         self.scalars[0], self.scalars[1] = 0.0, 1.0
         self.iterates = list(self.x)
-        self.slots = list(zip(*self.scalars, *self.vectors[1:5]))
+        # Each slot: qf_sL, gamma and its (R, 1) view, d, w, delta, s_L.
+        self.slots = list(zip(*self.scalars, self.scalars[1, ..., None],
+                              *self.vectors[1:5]))
         self.estimates = list(self.vectors[0])  # the slots' g
         self.truths = list(self.vectors[5]) if diagnostics else None
         self.checked = MONITORS if diagnostics else MONITORS[:-1]
@@ -410,7 +416,14 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     iterates, estimates, slots = hist.iterates, hist.estimates, hist.slots
     truths, length, observe = hist.truths, hist.length, provider.observe
     # The zero operator leaves s_L^T B s_L and gamma as recorded.
-    step_provider = None if type(provider) is ZeroCurvature else provider
+    cauchy = None
+    if type(provider) is not ZeroCurvature:
+        cauchy = (provider.quad_form, np.zeros(reps), np.ones(reps),
+                  np.empty(reps))
+    # The estimate is finite if its isfinite mask has the bytes of all True:
+    # one comparison of bytes, cheaper than .all() on a short row.
+    finite = np.empty((reps, box.n), bool)
+    all_finite = b"\1" * finite.size
     iterates[0][...] = SolverState.initial(problem.x_ini, box, params).x
     w = np.full((reps, box.n), params.sigma)
     x_prev = g_prev = None
@@ -422,15 +435,14 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
         # all by a model that draws no random numbers, and only for the
         # rows a block leaves to numpy when the normals come from a block
         # (``StreamRows``).  The estimate goes into the slot's g.
-        od = draw(obj, x, oracle_model, rngs.at(k), with_true=diagnostics,
-                  out=estimates[j])
+        od = draw(obj, x, oracle_model, rngs.at(k), diagnostics, estimates[j])
         g = od.g
         if diagnostics:
             truths[j][...] = od.g_true
         if k > 0:
             observe(x_prev, x, g_prev, g)
         x_prev, g_prev = x, g
-        if not np.isfinite(g).all():
+        if np.isfinite(g, finite).tobytes() != all_finite:
             # A non-finite objective value at an iterate up to k is the
             # earlier failure.
             hist.check_objective(k - j, j + 1)
@@ -438,7 +450,7 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
                         replications)
 
         # Module attributes, looked up each iteration: a tracer may wrap them.
-        x, w = step(x, w, g, step_provider, rows, params, slots[j],
+        x, w = step(x, w, g, cauchy, rows, params, slots[j],
                     iterates[j + 1])
         if j == length - 1 or k == horizon - 1:
             hist.check(k - j, j + 1)

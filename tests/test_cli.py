@@ -115,6 +115,27 @@ def test_mc_half_a_fit_range_is_usage_error(config_path, tmp_path, capsys,
     assert captured.out == "" and not out_dir.exists()
 
 
+@pytest.mark.parametrize("kmin, kmax, message", [
+    (30, 10, "need k_max > k_min >= 1, got [30, 10]"),
+    (0, 10, "need k_max > k_min >= 1, got [0, 10]"),
+    (5, 40, "k_max 40 outside aggregated range 40"),  # horizon 40
+    (5, 400, "k_max 400 outside aggregated range 40"),
+])
+def test_mc_bad_fit_range_is_refused_before_the_run(config_path, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    kmin, kmax, message):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    out_dir = tmp_path / "out"
+    code = cli_main(["mc", "--config", config_path, "--out", str(out_dir),
+                     "--fit-kmin", str(kmin), "--fit-kmax", str(kmax)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert runs == []
+    assert captured.out == "" and not out_dir.exists()
+
+
 def test_mc_delta_without_epsilon_is_usage_error(config_path, tmp_path,
                                                  capsys):
     out_dir = tmp_path / "out"

@@ -9,7 +9,8 @@ from adagb2.curvature import (CurvatureSpec, DiagonalFD, ExactClipped,
                               ScalarBB, ZeroCurvature, make_provider)
 from adagb2.errors import ConfigurationError
 from adagb2.oracle import Gaussian
-from adagb2.problem import PROBLEM_NAMES, Objective, make_test_problem
+from adagb2.problem import (PROBLEM_NAMES, ConstantBound, Objective,
+                            make_test_problem)
 
 QUAD = make_test_problem("boxed_quadratic", 5, 0)  # Hessian diag(1..4)
 
@@ -229,3 +230,81 @@ def test_quad_form_consistent_with_matvec():
         v = rng.standard_normal((1, 5))
         assert p.quad_form(x, v)[0] == pytest.approx(
             float(v[0] @ p.matvec(x, v)[0]), rel=1e-9, abs=1e-12)
+
+
+def _bb_reference(sigma, s, y, kappa_b):
+    """Row by row: s.y / s.s clipped by Python's max and min, whose ties and
+    NaN keep the ratio (so -0.0 and NaN stay); a zero step keeps sigma."""
+    out = []
+    for prev, s_row, y_row in zip(sigma, s, y):
+        ss = np.vecdot(s_row, s_row)
+        if ss == 0.0:
+            out.append(prev)
+            continue
+        with np.errstate(invalid="ignore"):
+            ratio = float(np.vecdot(s_row, y_row) / ss)
+        out.append(min(max(ratio, 0.0), kappa_b))
+    return np.array(out)
+
+
+def test_scalar_bb_clip_is_bit_exact_per_row():
+    kb = 4.0
+    rows = [  # (s, y) of one coordinate, and the ratio it gives
+        (2.0, -5e-324),  # -1e-323 / 4 underflows to -0.0
+        (1.0, 0.0),  # +0.0
+        (1.0, np.nan),
+        (1.0, np.inf),
+        (1.0, -np.inf),
+        (np.inf, np.inf),  # inf / inf is NaN
+        (1.0, kb),
+        (1.0, np.nextafter(kb, np.inf)),
+        (1.0, np.nextafter(kb, 0.0)),
+        (1.0, -3.0),
+        (1.0, -5e-324),  # the smallest negative
+        (2.0, 3.0),  # 6 / 4 = 1.5
+        (0.0, 5.0),  # a zero step keeps the previous scalar
+    ]
+    s = np.array([[r[0]] for r in rows])
+    y = np.array([[r[1]] for r in rows])
+    zero, one = np.zeros_like(s), np.ones_like(s)
+    p = ScalarBB(kappa_b=kb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p.observe(zero, one, zero, np.full_like(s, 2.5))  # sigma 2.5
+        p.observe(zero, s, zero, y)
+    want = _bb_reference(np.full(len(rows), 2.5), s, y, kb)
+    assert np.signbit(want[0]) and want[0] == 0.0  # the -0.0 row
+    assert p.sigma.tobytes() == want.tobytes()
+    # The quadratic form reads the updated scalars.
+    v = np.array([[1.5]] * len(rows))
+    assert p.quad_form(None, v).tobytes() == np.vecdot(
+        v, want[:, None] * v).tobytes()
+
+
+def test_scalar_bb_before_the_first_pair_is_the_zero_operator():
+    # 0.0 * v keeps the signs of v's zeros and products.
+    p = ScalarBB(kappa_b=4.0)
+    v = np.array([[-2.0, -0.0, 0.0, 3.0], [np.nan, 1.0, -1.0, -0.5]])
+    assert p.matvec(None, v).tobytes() == (0.0 * v).tobytes()
+    assert p.quad_form(None, v).tobytes() == np.vecdot(v, 0.0 * v).tobytes()
+
+
+@pytest.mark.parametrize("name", ["boxed_quadratic", "finite_sum_logistic"])
+def test_exact_clipped_run_scale_matches_per_row_scale(name):
+    # These bounds hold on the whole box: the provider scales by one
+    # number per run, with the bits of the per-row scale.
+    obj = make_test_problem(name, 5, 2).objective
+    assert isinstance(obj.hess_bound, ConstantBound)
+    bound = obj.hess_bound.bound
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, (4, 5))
+    v = rng.standard_normal((4, 5))
+    for kb in (1.0, bound / 3.0, np.nextafter(bound, 0.0), bound,
+               np.nextafter(bound, np.inf), 16.0, 1e300):
+        if kb < 1.0:
+            continue
+        p = ExactClipped(kb, obj)
+        scale = kb / np.maximum(kb, obj.hess_bound(x))
+        hv = scale[..., None] * obj.hess_vec(x, v)
+        assert p.matvec(x, v).tobytes() == hv.tobytes()
+        assert p.quad_form(x, v).tobytes() == np.vecdot(v, hv).tobytes()

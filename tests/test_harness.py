@@ -401,6 +401,15 @@ def test_write_experiment_outputs_csv_and_json(tmp_path):
         write_experiment_outputs(exp, str(tmp_path / "xml"), fmt="xml")
 
 
+def test_unknown_output_format_makes_no_directory(tmp_path):
+    exp = run_experiment(ExperimentConfig.from_dict(_config()))
+    out_dir = tmp_path / "xml"
+    with pytest.raises(ConfigurationError,
+                       match="^unknown output format 'xml'$"):
+        write_experiment_outputs(exp, str(out_dir), fmt="xml")
+    assert not out_dir.exists()
+
+
 def test_traces_csv_matches_fmt_reference(tmp_path):
     # Diagnostics off: the norm_xi, err_norm and f columns are all NaN.
     exp = run_experiment(ExperimentConfig.from_dict(

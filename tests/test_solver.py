@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from adagb2 import solver
 from adagb2.curvature import CurvatureProvider, CurvatureSpec, ZeroCurvature
 from adagb2.errors import ConfigurationError, NumericalError
 from adagb2.geometry import BoundBox
-from adagb2.oracle import ConstantBias, Exact, Gaussian, OracleStream, Subsample
+from adagb2.oracle import (ConstantBias, Exact, Gaussian, NoiseModel,
+                           OracleStream, Subsample)
 from adagb2.problem import Objective, make_test_problem
 from adagb2.problem import TestProblem as BoxProblem  # avoid pytest collection
 from adagb2.solver import (MONITORS, STEP_MODES, SolverParams, SolverState,
@@ -306,3 +309,53 @@ def test_run_raises_on_divergent_objective():
     with pytest.raises(NumericalError):
         run(prob, Exact(), CurvatureSpec("zero"), SolverParams(), 50,
             base_seed=0)
+
+
+def _valid_runs():
+    for kind in ("zero", "scalar_bb", "exact_clipped", "diagonal_fd"):
+        for mode in STEP_MODES:
+            if mode == "cauchy" or kind == "zero":  # sign_adagrad: B = 0
+                yield kind, mode
+
+
+@pytest.mark.parametrize("model", [Exact(), Gaussian(0.1)],
+                         ids=["exact", "gaussian"])
+@pytest.mark.parametrize("kind, mode", list(_valid_runs()))
+def test_the_engine_emits_no_warnings(kind, mode, model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("boxed_quadratic", "boxed_rosenbrock",
+                     "boxed_nonconvex_quartic", "finite_sum_logistic"):
+            run_batch(make_test_problem(name, 3, 0), model,
+                      CurvatureSpec(kind, 16.0), SolverParams(step_mode=mode),
+                      50, base_seed=4, replications=2)
+
+
+class _TurnsInfinite(NoiseModel):
+    """Exact estimates for the first ``k`` draws, then Gaussian(inf) ones:
+    +-inf in every coordinate, and no overflow on the way."""
+
+    kind = "turns_infinite"
+
+    def __init__(self, k):
+        self.k, self.draws = k, 0
+
+    def sample(self, obj, x, rngs, g_true, out):
+        model = Exact() if self.draws < self.k else Gaussian(np.inf)
+        self.draws += 1
+        model.sample(obj, x, rngs, g_true, out)
+
+
+@pytest.mark.parametrize("kind", ["zero", "scalar_bb", "exact_clipped",
+                                  "diagonal_fd"])
+def test_an_infinite_estimate_mid_block_raises_without_warnings(kind):
+    prob = make_test_problem("boxed_quadratic", 3, 0)  # the box [0, 1]^3
+    # Blocks of 256 iterations (R = 2, n = 3, diagnostics on): k = 384 is
+    # in the middle of the second block.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=(
+                r"^non-finite gradient estimate \[.*inf.*\] at iteration 384 "
+                r"\(replication 0\)$")):
+            run_batch(prob, _TurnsInfinite(384), CurvatureSpec(kind, 16.0),
+                      SolverParams(), 500, base_seed=4, replications=2)
