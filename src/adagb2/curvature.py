@@ -47,7 +47,6 @@ class CurvatureProvider:
 
     def quad_form(self, x, v) -> np.ndarray:
         """v^T B v of each row of v (R, n)."""
-        v = np.asarray(v, dtype=np.float64)
         return np.vecdot(v, self.matvec(x, v))
 
     def observe(self, x_prev, x_new, g_prev, g_new) -> None:
@@ -72,8 +71,7 @@ class ScalarBB(CurvatureProvider):
         self.sigma = np.zeros(())  # one per row from the first pair on
 
     def matvec(self, x, v):
-        return np.multiply(self.sigma[..., None],
-                           np.asarray(v, dtype=np.float64))
+        return np.multiply(self.sigma[..., None], v)
 
     def quad_form(self, x, v):
         return np.vecdot(v, np.multiply(self.sigma[..., None], v))
@@ -82,26 +80,33 @@ class ScalarBB(CurvatureProvider):
         if self.sigma.ndim == 0:  # the first pair: one scalar per row
             rows = np.shape(x_new)[:-1]
             self.sigma = np.full(rows, self.sigma)
-            # s and y side by side, and the clip's bounds, for every pair
-            self._work = (np.empty((2, *np.shape(x_new))), np.zeros(rows),
+            # (s, y) and its finiteness, the last ratios, a mask, 0, kappa_b
+            pair = np.empty((2, *np.shape(x_new)))
+            self._work = (pair, np.empty(pair.shape, bool), b"\1" * pair.size,
+                          np.zeros(rows), np.empty(rows, bool), np.zeros(rows),
                           np.full(rows, self.kappa_b))
-        pair, zero, kappa_b = self._work
-        s = pair[0]
-        np.subtract(x_new, x_prev, s)
-        # A diverging run's inf/inf is NaN, silently; the ratio of a zero
-        # step is not kept.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(g_new, g_prev, pair[1])
-            dots = np.vecdot(s, pair)  # s.s and s.y, each as alone
-            ss = dots[0]
-            ratio = dots[1] / ss
-        # The clip keeps Python's min/max tie and NaN rules: NaN and -0.0
-        # stay (np.maximum would turn -0.0 into +0.0), and kappa_b >= 1
-        # leaves np.minimum no signed zero to choose between.
-        clipped = np.minimum(ratio, kappa_b)
-        np.copyto(clipped, zero, where=np.less(clipped, zero))
-        # A zero step keeps the row's previous scalar, already clipped.
-        np.copyto(self.sigma, clipped, where=np.not_equal(ss, zero))
+        pair, finite, all_finite, ratio, mask, zero, kappa_b = self._work
+        np.subtract(x_new, x_prev, pair[0])
+        np.subtract(g_new, g_prev, pair[1])
+        # Only a pair with an inf or NaN (a diverged row) needs np.errstate,
+        # which costs more than this test (two infinite estimates still warn
+        # in their difference; the engine's earlier estimate is finite).
+        if np.isfinite(pair, finite).tobytes() == all_finite:
+            _ratio(pair, ratio, mask, zero)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _ratio(pair, ratio, mask, zero)
+        # sigma clips each row's last ratio (a zero step keeps it) as Python's
+        # min/max do, NaN and -0.0 included; writing in place is slower at R=1.
+        np.minimum(ratio, kappa_b, out=self.sigma)
+        np.copyto(self.sigma, zero, where=np.less(self.sigma, zero, mask))
+
+
+def _ratio(pair, ratio, moved, zero):
+    """s.y / s.s of the pair (s, y) into ``ratio`` where s.s != 0."""
+    dots = np.vecdot(pair[0], pair)  # s.s and s.y, each as alone
+    ss = dots[0]
+    np.divide(dots[1], ss, out=ratio, where=np.not_equal(ss, zero, moved))
 
 
 class ExactClipped(CurvatureProvider):
@@ -122,23 +127,20 @@ class ExactClipped(CurvatureProvider):
             )
         self._hess_vec = obj.hess_vec
         self._hess_bound = obj.hess_bound
+        kb = self._kb = np.array(self.kappa_b)  # a 0-d array: faster in ufuncs
         self._scale = None
         if isinstance(obj.hess_bound, ConstantBound):
-            kb = self.kappa_b
             self._scale = float(kb / np.maximum(kb, obj.hess_bound.bound))
 
     def matvec(self, x, v):
         hv = self._hess_vec(x, v)
         scale = self._scale
         if scale is None:
-            kb = self.kappa_b
+            kb = self._kb
             scale = (kb / np.maximum(kb, self._hess_bound(x)))[..., None]
         elif scale == 1.0:  # 1.0 * hv is hv, bit for bit
             return hv
         return scale * hv
-
-    def quad_form(self, x, v):
-        return np.vecdot(v, self.matvec(x, v))
 
 
 class DiagonalFD(CurvatureProvider):

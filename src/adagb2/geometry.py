@@ -89,7 +89,7 @@ def project_box(y, box: BoundBox, out=None) -> np.ndarray:
     y's shape, if it is given.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.shape[-1] != box.n:
+    if y.shape[-1] != box.upper.shape[-1]:
         raise ValueError(f"dimension mismatch: y has {y.shape[-1]}, box has {box.n}")
     if out is None:
         out = np.empty_like(y)

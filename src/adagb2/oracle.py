@@ -358,6 +358,6 @@ def draw(obj: Objective, x, model: NoiseModel, rngs,
                              f"{x.shape}")
     if out is None:
         out = np.empty(x.shape)
-    model.sample(obj, x, rngs, g_true, out)
-    return OracleDraw(out, g_true if with_true else None)
+    model.sample(obj, x, rngs, g_true, out)  # below: tuple.__new__ is faster
+    return tuple.__new__(OracleDraw, (out, g_true if with_true else None))
 

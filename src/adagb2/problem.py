@@ -118,43 +118,45 @@ def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
     return TestProblem(name, objective, box, x_ini)
 
 
-def _rosenbrock_f(x):
-    head, tail = x[..., :-1], x[..., 1:]
-    return _value((100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2)
-                  .sum(axis=-1))
+def _rosenbrock_objective() -> Objective:
+    # 0-d float64 coefficients: faster in ufuncs than floats, same bits
+    one, two, c200, c400, c1200, minus400 = map(
+        np.array, (1.0, 2.0, 200.0, 400.0, 1200.0, -400.0))
 
+    def f(x):
+        head, tail = x[..., :-1], x[..., 1:]
+        return _value((100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2)
+                      .sum(axis=-1))
 
-def _rosenbrock_grad(x):
-    head, tail = x[..., :-1], x[..., 1:]
-    g = np.zeros_like(x)
-    g[..., :-1] = -400.0 * head * (tail - head**2) - 2.0 * (1.0 - head)
-    g[..., 1:] += 200.0 * (tail - head**2)
-    return g
+    def grad(x):
+        head = x[..., :-1]
+        r = x[..., 1:] - head * head  # tail - head^2, in both terms
+        g = np.zeros(x.shape)
+        g[..., :-1] = minus400 * head * r - two * (one - head)
+        g[..., 1:] += c200 * r  # 0.0 + it: the last -0.0 turns +0.0
+        return g
 
+    def diagonal(x):  # the Hessian's; its (i, i+1) entries are -400 x_i
+        diag = np.zeros(x.shape)
+        diag[..., :-1] = c1200 * x[..., :-1] ** 2 - c400 * x[..., 1:] + two
+        diag[..., 1:] += c200
+        return diag
 
-def _rosenbrock_hessian(x):
-    """Diagonal and off-diagonal (i, i+1) of the tridiagonal Hessian."""
-    diag = np.zeros_like(x)
-    diag[..., :-1] += 1200.0 * x[..., :-1] ** 2 - 400.0 * x[..., 1:] + 2.0
-    diag[..., 1:] += 200.0
-    return diag, -400.0 * x[..., :-1]
+    def hess_vec(x, v):
+        hv, off = diagonal(x) * v, minus400 * x[..., :-1]
+        hv[..., :-1] += off * v[..., 1:]
+        hv[..., 1:] += off * v[..., :-1]
+        return hv
 
+    def hess_bound(x):
+        # Gershgorin: |lambda| <= |diag_i| + |off_{i-1}| + |off_i| for some i
+        rows, off = np.abs(diagonal(x)), np.abs(minus400 * x[..., :-1])
+        rows[..., :-1] += off
+        rows[..., 1:] += off
+        return _value(np.maximum.reduce(rows, axis=-1))
 
-def _rosenbrock_hess_vec(x, v):
-    diag, off = _rosenbrock_hessian(x)
-    hv = diag * v
-    hv[..., :-1] += off * v[..., 1:]
-    hv[..., 1:] += off * v[..., :-1]
-    return hv
-
-
-def _rosenbrock_hess_bound(x):
-    # Gershgorin: some row i has |eigenvalue| <= |diag_i| + |off_{i-1}| + |off_i|.
-    diag, off = _rosenbrock_hessian(x)
-    rows, off = np.abs(diag), np.abs(off)
-    rows[..., :-1] += off
-    rows[..., 1:] += off
-    return _value(rows.max(axis=-1))
+    return Objective(f=f, grad=grad, hess_vec=hess_vec, hess_bound=hess_bound,
+                     f_low=0.0, lipschitz=None)
 
 
 _SPECTRAL_NORMS = {}  # (dim, seed) -> ||features||_2 of finite_sum_logistic
@@ -186,25 +188,19 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
         x_ini = np.clip(np.tile([-1.2, 1.0], (dim + 1) // 2)[:dim]
                         + 0.05 * rng.standard_normal(dim),
                         box.lower, box.upper)
-        objective = Objective(
-            f=_rosenbrock_f,
-            grad=_rosenbrock_grad,
-            hess_vec=_rosenbrock_hess_vec,
-            hess_bound=_rosenbrock_hess_bound,
-            f_low=0.0,
-            lipschitz=None,
-        )
-        return TestProblem(name, objective, box, x_ini)
+        return TestProblem(name, _rosenbrock_objective(), box, x_ini)
 
     if name == "boxed_nonconvex_quartic":
         box = BoundBox(np.full(dim, -2.0), np.full(dim, 2.0))
         x_ini = rng.uniform(-2.0, 2.0, dim)
+        one, three = np.array(1.0), np.array(3.0)
         objective = Objective(
             f=lambda x: _value((0.25 * x**4 - 0.5 * x**2).sum(axis=-1)),
-            grad=lambda x: x**3 - x,
-            hess_vec=lambda x, v: (3.0 * x**2 - 1.0) * v,
+            grad=lambda x: np.power(x, three) - x,
+            hess_vec=lambda x, v: (three * x**2 - one) * v,
             # The Hessian is diagonal, so the bound is its norm.
-            hess_bound=lambda x: _value(np.abs(3.0 * x**2 - 1.0).max(axis=-1)),
+            hess_bound=lambda x: _value(
+                np.maximum.reduce(np.abs(three * x**2 - one), axis=-1)),
             f_low=-0.25 * dim,
             # max |3 x^2 - 1| on [-2, 2]
             lipschitz=11.0,
@@ -226,26 +222,28 @@ def make_test_problem(name: str, dim: int, seed: int) -> TestProblem:
     def f(x):
         return _value(np.logaddexp(0.0, apply(signed, x)).mean(axis=-1))
 
+    one, count = np.array(1.0), np.array(float(m))
+
+    def sigmoid(z):  # 1 / (1 + exp(-z)), in place
+        np.negative(z, z)
+        np.exp(z, z)
+        z += one
+        return np.divide(one, z, z)
+
     def grad(x):
-        z = apply(signed, x)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        s = np.divide(1.0, z, out=z)  # sigma(-y a^T x)
-        g = apply(signed.T, s)
-        g /= m
+        g = apply(signed.T, sigmoid(apply(signed, x)))  # sigma(-y a^T x)
+        g /= count
         return g
 
     def hess_vec(x, v):
-        z = apply(signed, x)
-        s = 1.0 / (1.0 + np.exp(-z))
-        return apply(signed.T, (s * (1.0 - s)) * apply(signed, v)) / m
+        s = sigmoid(apply(signed, x))
+        hv = apply(signed.T, s * (one - s) * apply(signed, v))
+        hv /= count
+        return hv
 
     def term_grad(x, indices):
         rows = signed[indices]
-        z = rows @ x
-        s = 1.0 / (1.0 + np.exp(-z))
-        return (rows.T @ s) / len(indices)
+        return (rows.T @ sigmoid(rows @ x)) / len(indices)
 
     # The largest singular value, once per process for each (dim, seed):
     # the SVD can stall for tens of ms when the BLAS threads wait for a core.

@@ -174,9 +174,8 @@ def step(x, w, g, cauchy, box: TiledBox, params: SolverParams, slot, out):
     the (R,) s_L^T B s_L and gamma, gamma's (R, 1) view, then the (R, n) d,
     w, delta and s_L, which the iteration writes, and the next x into
     ``out``; nothing else is computed here.  ``cauchy`` is the provider's
-    ``quad_form`` with (R,) arrays of 0.0 and 1.0 and an (R,) buffer for the
-    ratio, made once per run, or None for the zero operator: the slot keeps
-    its s_L^T B s_L = +0.0 and gamma = 1.
+    ``quad_form``, an (R,) bool buffer and R zero bytes, or None for the
+    zero operator, whose slot keeps s_L^T B s_L = +0.0 and gamma = 1.
     """
     qf_sl, gamma, gamma_column, d, w_new, delta, s_l = slot
     _kernels.first_order(x, g, box.lower, box.upper, w, d, w_new, delta, s_l)
@@ -185,16 +184,18 @@ def step(x, w, g, cauchy, box: TiledBox, params: SolverParams, slot, out):
     elif cauchy is None:  # gamma = 1
         s = s_l
     else:
-        quad_form, zero, one, ratio = cauchy
+        quad_form, below, none_below = cauchy
         qf_sl[...] = quad_form(x, s_l)
-        # min(1, -g.s_L / s_L^T B s_L) where the curvature is positive, else
-        # 1: elsewhere the ratio is NaN, and np.fmin, like Python's min,
-        # keeps the 1 against a NaN ratio.
-        ratio.fill(np.nan)
-        np.divide(-np.vecdot(g, s_l), qf_sl, out=ratio,
-                  where=np.greater(qf_sl, zero))
-        np.fmin(ratio, one, out=gamma)
-        s = np.multiply(gamma_column, s_l, out=out)
+        # min(1, -g.s_L / s_L^T B s_L) if s_L^T B s_L > 0, else 1.  x in F, g
+        # finite: each s_L,i is 0 or has the sign of -g_i, so -g.s_L >= 0 and
+        # the ratio is below 1 exactly where -g.s_L < s_L^T B s_L (not NaN).
+        descent = -np.vecdot(g, s_l)
+        gamma.fill(1.0)
+        if np.less(descent, qf_sl, below).tobytes() != none_below:
+            np.divide(descent, qf_sl, out=gamma, where=below)
+            s = np.multiply(gamma_column, s_l, out=out)
+        else:  # gamma = 1 in every row, and 1.0 * s_L is s_L
+            s = s_l
     # Reprojection removes the last-ulp rounding of x + (P(..) - x).  The
     # only call by this module's name: a tracer patching it counts steps.
     return project_box(np.add(x, s, out=out), box, out=out), w_new
@@ -418,8 +419,7 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     # The zero operator leaves s_L^T B s_L and gamma as recorded.
     cauchy = None
     if type(provider) is not ZeroCurvature:
-        cauchy = (provider.quad_form, np.zeros(reps), np.ones(reps),
-                  np.empty(reps))
+        cauchy = (provider.quad_form, np.empty(reps, bool), bytes(reps))
     # The estimate is finite if its isfinite mask has the bytes of all True:
     # one comparison of bytes, cheaper than .all() on a short row.
     finite = np.empty((reps, box.n), bool)

@@ -281,6 +281,25 @@ def test_scalar_bb_clip_is_bit_exact_per_row():
         v, want[:, None] * v).tobytes()
 
 
+def test_scalar_bb_finite_pairs_keep_the_bits_of_the_reference():
+    # All finite, so the pair takes the path without np.errstate; a zero
+    # step keeps its scalar, here over three pairs.
+    kb = 4.0
+    s = np.array([[2.0], [1.0], [1.0], [1.0], [1.0], [2.0], [0.0], [3.0]])
+    y = np.array([[-5e-324], [0.0], [kb], [np.nextafter(kb, np.inf)],
+                  [-3.0], [3.0], [5.0], [1e-300]])
+    p = ScalarBB(kappa_b=kb)
+    zero, one = np.zeros_like(s), np.ones_like(s)
+    want = np.zeros(len(s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in ((one, np.full_like(s, 2.5)), (s, y), (s[::-1], y)):
+            p.observe(zero, pair[0], zero, pair[1])
+            want = _bb_reference(want, *pair, kb)
+            assert p.sigma.tobytes() == want.tobytes()
+    assert np.signbit(p.sigma[0]) and p.sigma[0] == 0.0
+
+
 def test_scalar_bb_before_the_first_pair_is_the_zero_operator():
     # 0.0 * v keeps the signs of v's zeros and products.
     p = ScalarBB(kappa_b=4.0)

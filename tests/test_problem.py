@@ -230,3 +230,136 @@ def test_logistic_lipschitz_is_computed_once_per_dim_and_seed(monkeypatch):
     features = np.random.default_rng(
         np.random.SeedSequence((0xAD46, 11))).standard_normal((24, 6))
     assert first == norm(features, ord=2) ** 2 / (4.0 * 24)
+
+
+# The problem layer's formulas as they read before its callables were made
+# to work in place; the suite must give their bits.
+
+def _logistic_data(dim, seed):
+    """The rows -y_i a_i of finite_sum_logistic, drawn as make_test_problem
+    draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence((0xAD46, seed)))
+    m = max(20, 4 * dim)
+    features = rng.standard_normal((m, dim))
+    w_true = rng.standard_normal(dim)
+    labels = np.sign(features @ w_true + 0.1 * rng.standard_normal(m))
+    labels[labels == 0] = 1.0
+    return -labels[:, None] * features
+
+
+def _reference_callables(name, dim, seed):
+    """f, grad, hess_vec and hess_bound of ``make_test_problem(name, dim,
+    seed)``, each written as the plain formula."""
+    if name == "boxed_quadratic":
+        a, b = np.linspace(1.0, 4.0, dim), np.ones(dim)
+        return (lambda x: (0.5 * a * x * x - b * x).sum(axis=-1),
+                lambda x: a * x - b,
+                lambda x, v: a * v,
+                lambda x: np.full(np.shape(x)[:-1], a.max()))
+    if name == "boxed_rosenbrock":
+        def f(x):
+            head, tail = x[..., :-1], x[..., 1:]
+            return (100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
+
+        def grad(x):
+            head, tail = x[..., :-1], x[..., 1:]
+            g = np.zeros_like(x)
+            g[..., :-1] = -400.0 * head * (tail - head**2) - 2.0 * (1.0 - head)
+            g[..., 1:] += 200.0 * (tail - head**2)
+            return g
+
+        def hessian(x):
+            diag = np.zeros_like(x)
+            diag[..., :-1] += 1200.0 * x[..., :-1] ** 2 - 400.0 * x[..., 1:] + 2.0
+            diag[..., 1:] += 200.0
+            return diag, -400.0 * x[..., :-1]
+
+        def hess_vec(x, v):
+            diag, off = hessian(x)
+            hv = diag * v
+            hv[..., :-1] += off * v[..., 1:]
+            hv[..., 1:] += off * v[..., :-1]
+            return hv
+
+        def hess_bound(x):
+            diag, off = hessian(x)
+            rows, off = np.abs(diag), np.abs(off)
+            rows[..., :-1] += off
+            rows[..., 1:] += off
+            return rows.max(axis=-1)
+
+        return f, grad, hess_vec, hess_bound
+    if name == "boxed_nonconvex_quartic":
+        return (lambda x: (0.25 * x**4 - 0.5 * x**2).sum(axis=-1),
+                lambda x: x**3 - x,
+                lambda x, v: (3.0 * x**2 - 1.0) * v,
+                lambda x: np.abs(3.0 * x**2 - 1.0).max(axis=-1))
+    signed = _logistic_data(dim, seed)
+    m = len(signed)
+
+    def apply(mat, v):
+        return mat @ v if v.ndim == 1 else np.matmul(mat, v[..., None])[..., 0]
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    def hess_vec(x, v):
+        s = sigmoid(apply(signed, x))
+        return apply(signed.T, (s * (1.0 - s)) * apply(signed, v)) / m
+
+    lipschitz = make_test_problem(name, dim, seed).objective.lipschitz
+    return (lambda x: np.logaddexp(0.0, apply(signed, x)).mean(axis=-1),
+            lambda x: apply(signed.T, sigmoid(apply(signed, x))) / m,
+            hess_vec,
+            lambda x: np.full(np.shape(x)[:-1], lipschitz))
+
+
+def _pinned_points(box, dim, rng):
+    """Seeded points in the box, its corners and faces, and signed zeros."""
+    lower, upper = box.lower, box.upper
+    points = [rng.uniform(lower, upper, (6, dim)), lower[None], upper[None],
+              np.where(np.arange(dim) % 2, lower, upper)[None]]
+    zeros = np.zeros((4, dim))
+    zeros[1] = -0.0
+    zeros[2, 1::2] = -0.0  # +0.0 heads before -0.0 tails
+    zeros[3, ::2] = -0.0
+    mixed = rng.uniform(lower, upper, (2, dim))
+    mixed[:, ::3] = -0.0
+    return np.concatenate(points + [zeros, mixed])
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_callables_keep_the_bits_of_the_plain_formulas(name, dim):
+    prob = make_test_problem(name, dim, 7)
+    obj = prob.objective
+    refs = _reference_callables(name, dim, 7)
+    rng = np.random.default_rng(dim)
+    x = _pinned_points(prob.box, dim, rng)  # (R, n)
+    v = rng.standard_normal(x.shape)
+    v[::3] = -0.0
+    stack = rng.uniform(prob.box.lower, prob.box.upper, (dim, len(x), dim))
+    stack[0] = x  # the (n, R, n) stacks of diagonal_fd
+    ref_f, ref_grad, ref_hess_vec, ref_hess_bound = refs
+    for points in (x, stack, *x):  # a batch, a stack and every single row
+        assert np.asarray(obj.f(points)).tobytes() == ref_f(points).tobytes()
+        assert obj.grad(points).tobytes() == ref_grad(points).tobytes()
+    for points, vectors in ((x, v), *zip(x, v)):
+        assert (obj.hess_vec(points, vectors).tobytes()
+                == ref_hess_vec(points, vectors).tobytes())
+        assert (np.asarray(obj.hess_bound(points)).tobytes()
+                == np.asarray(ref_hess_bound(points), float).tobytes())
+
+
+def test_logistic_term_grad_keeps_the_bits_of_the_plain_formula():
+    obj = make_test_problem("finite_sum_logistic", 6, 7).objective
+    signed = _logistic_data(6, 7)
+    rng = np.random.default_rng(8)
+    for batch in (1, 10, obj.num_terms):
+        x = rng.uniform(-5.0, 5.0, 6)
+        x[::4] = -0.0
+        indices = rng.choice(obj.num_terms, size=batch, replace=False)
+        rows = signed[indices]
+        s = 1.0 / (1.0 + np.exp(-(rows @ x)))
+        want = (rows.T @ s) / len(indices)
+        assert obj.term_grad(x, indices).tobytes() == want.tobytes()

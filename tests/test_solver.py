@@ -121,6 +121,75 @@ def test_gamma_shrinks_with_strong_curvature():
     assert res.final_state.x[0] == pytest.approx(-gamma * delta)
 
 
+# Row by row: s_L^T B s_L as a function of -g.s_L, and the point in the
+# box [0, 1]^2 and the estimate that give the row its s_L.
+_MOVES = ([0.5, 0.25], [2.0, -1.5])
+_CAUCHY_ROWS = [
+    (lambda a: -3.0, *_MOVES),  # negative curvature
+    (lambda a: 0.0, *_MOVES),
+    (lambda a: -0.0, *_MOVES),
+    (lambda a: np.nan, *_MOVES),
+    (lambda a: np.inf, *_MOVES),
+    (lambda a: 50.0, *_MOVES),  # gamma below 1
+    (lambda a: 1e-3, *_MOVES),  # ratio above 1
+    (lambda a: a, *_MOVES),  # ratio 1
+    (lambda a: np.nextafter(a, np.inf), *_MOVES),  # just below 1
+    (lambda a: np.nextafter(a, 0.0), *_MOVES),  # just above 1
+    (lambda a: 5e-324, *_MOVES),  # the ratio overflows to inf
+    # s_L = 0 and -g.s_L = -0.0: on the bounds and pushed out, or a zero
+    # estimate
+    (lambda a: 50.0, [0.0, 0.0], [2.0, 1.5]),
+    (lambda a: 0.0, [0.0, 0.0], [2.0, 1.5]),
+    (lambda a: np.inf, [0.0, 0.0], [2.0, 1.5]),
+    (lambda a: 50.0, [1.0, 1.0], [-2.0, -1.5]),
+    (lambda a: -0.0, [1.0, 1.0], [-2.0, -1.5]),
+    (lambda a: 50.0, [0.5, 0.25], [0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("picked", [range(len(_CAUCHY_ROWS)),
+                                    [0, 1, 2, 3, 6, 7, 9, 10, 12, 15]],
+                         ids=["all rows", "rows that keep gamma = 1"])
+def test_cauchy_gamma_keeps_the_bits_of_the_scalar_rule(picked):
+    # gamma = min(1, -g.s_L / s_L^T B s_L) if s_L^T B s_L > 0 else 1, with
+    # Python's min, for every kind of s_L^T B s_L a provider can return;
+    # the step is gamma s_L, which is s_L where gamma = 1.
+    cases = [_CAUCHY_ROWS[i] for i in picked]
+    rows = len(cases)
+    box = BoundBox(np.zeros(2), np.ones(2)).tile(rows)
+    x = np.array([point for _, point, _ in cases])
+    g = np.array([estimate for _, _, estimate in cases])
+    w = np.full((rows, 2), 0.5)
+    qf, gamma = np.full(rows, np.nan), np.full(rows, np.nan)
+    d, w_new, delta, s_l = np.full((4, rows, 2), np.nan)
+    descents = []
+
+    def quad_form(x_, v):
+        descents.extend(float(a) for a in -np.vecdot(g, v))
+        return np.array([rule(a) for (rule, *_), a in zip(cases, descents)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x_next, _ = solver.step(
+            x, w, g, (quad_form, np.empty(rows, bool), bytes(rows)), box,
+            SolverParams(), (qf, gamma, gamma[:, None], d, w_new, delta, s_l),
+            np.empty((rows, 2)))
+    assert all(a >= 0.0 for a in descents)  # x is in F, so -g.s_L >= 0
+    want_qf = [float(rule(a)) for (rule, *_), a in zip(cases, descents)]
+    want = np.array([min(1.0, a / q) if q > 0.0 else 1.0
+                     for a, q in zip(descents, want_qf)])
+    assert qf.tobytes() == np.array(want_qf).tobytes()
+    assert gamma.tobytes() == want.tobytes()
+    step_ = want[:, None] * s_l
+    assert x_next.tobytes() == np.maximum(np.minimum(x + step_, 1.0),
+                                          0.0).tobytes()
+    if rows == len(_CAUCHY_ROWS):
+        assert 0.0 < gamma[5] < gamma[8] < 1.0 and gamma[9] == 1.0
+        assert np.signbit(gamma[11]) and gamma[11] == 0.0  # -0.0 / 50
+    else:
+        assert (gamma == 1.0).all()
+
+
 def test_sign_adagrad_matches_plain_adagrad_unconstrained():
     # Unconstrained box, zero curvature: the iteration must reduce to
     # x_{k+1,i} = x_{k,i} - g_{k,i} / sqrt(sigma^2 + sum_{j<=k} g_{j,i}^2).
@@ -297,6 +366,49 @@ def test_violations_name_every_monitor(monkeypatch):
         assert list(res.violations) == list(MONITORS)
     assert with_true.violations["xi_triangle"] == 30
     assert without.violations["xi_triangle"] == 0
+
+
+def _reverse_relation_fails(norm_d, norm_xi, err_norm):
+    """Where ||d_k|| > ||Xi_k|| + ||g_k - G(x_k)|| beyond the monitors' slack."""
+    return norm_d > norm_xi + err_norm + solver._tol(norm_d, norm_xi)
+
+
+@pytest.mark.parametrize("name", ["boxed_quadratic", "boxed_rosenbrock",
+                                  "boxed_nonconvex_quartic",
+                                  "finite_sum_logistic"])
+def test_the_reverse_criticality_relation_holds(name):
+    """The other side of the relation between the approximate and the true
+    criticality measure: P_F is nonexpansive, so ||d_k|| <= ||Xi_k|| +
+    ||g_k - G(x_k)||, where the xi_triangle monitor checks ||Xi_k|| <=
+    ||d_k|| + ||g_k - G(x_k)||.  It is checked here on the recorded
+    histories rather than as a monitor, which would change summary.json.
+    The slack is the monitors' ``solver._tol``; once the monitors take a
+    rounding-error bound instead (ROADMAP item 8), this check takes it too.
+    """
+    prob = make_test_problem(name, 3, 1)
+    bias = np.array([0.03, -0.04, 0.0])
+    gaps = []
+    for model in (Gaussian(0.1), ConstantBias(bias, Gaussian(0.05))):
+        for kind in ("zero", "scalar_bb", "exact_clipped"):
+            for res in run_batch(prob, model, CurvatureSpec(kind, 16.0),
+                                 SolverParams(), 300, base_seed=2,
+                                 replications=2):
+                assert not _reverse_relation_fails(
+                    res.norm_d, res.norm_xi, res.err_norm).any(), (model, kind)
+                gaps.append(np.abs(res.norm_d - res.norm_xi) / res.err_norm)
+    # Not vacuous: the two measures differ by much of the error bound.
+    assert np.concatenate(gaps).max() > 0.5
+
+
+def test_the_reverse_criticality_check_can_fail():
+    # ||d|| = 1 against ||Xi|| + ||e|| = 0.75: the relation fails by 0.25,
+    # far beyond any rounding; the last two hold, the third with equality
+    # up to rounding.
+    norm_d = np.array([1.0, 0.5, 0.3])
+    norm_xi = np.array([0.5, 0.5, 0.2])
+    err_norm = np.array([0.25, 0.0, 0.1])
+    assert _reverse_relation_fails(norm_d, norm_xi, err_norm).tolist() == [
+        True, False, False]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
