@@ -230,7 +230,7 @@ class PhiloxBlocks:
     """
 
     def __init__(self, keys, n, length):
-        self.n, self.length = n, length
+        self.n = n
         self._blocks = -(-n // 4)
         self._per_iteration = len(keys) * self._blocks
         size = length * self._per_iteration  # (iteration, row, block)
@@ -250,12 +250,12 @@ class PhiloxBlocks:
         keys = self._keys[..., :size]
         m_, m_low, m_high = self._m[..., :size]
         a, al, ah, ll, lh, hl, hh, *lo = self._work[..., :size]
-        k_hi, k_lo = np.array([divmod(k, 1 << 64) for k in range(k0, k0 + m)],
-                              dtype=np.uint64).T[..., None, None]
+        k_lo = np.arange(m, dtype=np.uint64) + np.uint64(k0 % (1 << 64))
+        k_hi = (k_lo < k_lo[0]) + np.uint64(k0 >> 64)  # the carry past 2**64
         lanes = (2, m, -1, self._blocks)
         a.reshape(lanes)[0] = np.arange(1, self._blocks + 1, dtype=np.uint64)
-        a.reshape(lanes)[1] = k_lo
-        lo[1].reshape(lanes)[0] = k_hi  # the first round's p = (c3, c1)
+        a.reshape(lanes)[1] = k_lo[:, None, None]
+        lo[1].reshape(lanes)[0] = k_hi[:, None, None]  # the first p = (c3, c1)
         lo[1][1] = 0
         for i in range(10):
             mul_hi(a, m_low, m_high, (al, ah, ll, lh, hl, hh))

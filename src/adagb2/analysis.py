@@ -118,20 +118,21 @@ def compute_constants(sigma: float, tau: float, kappa_s: float, kappa_b: float,
                       kappa_gg: float, lipschitz: float, gamma0: float,
                       dim: int) -> ConstantsReport:
     """Constant of the O(1/sqrt(k+1)) bound on the averaged measure."""
+    # Written so that NaN fails every test, and inf each unbounded one.
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must be in (0, 1], got {sigma}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    if kappa_s < 1.0:
-        raise ValueError(f"kappa_s must be >= 1, got {kappa_s}")
-    if kappa_b < 1.0:
-        raise ValueError(f"kappa_b must be >= 1, got {kappa_b}")
-    if kappa_gg < 0.0:
-        raise ValueError(f"kappa_gg must be >= 0, got {kappa_gg}")
-    if lipschitz < 0.0:
-        raise ValueError(f"lipschitz must be >= 0, got {lipschitz}")
-    if gamma0 <= 0.0:
-        raise ValueError(f"gamma0 must be > 0, got {gamma0}")
+    if not 1.0 <= kappa_s < math.inf:
+        raise ValueError(f"kappa_s must be finite and >= 1, got {kappa_s}")
+    if not 1.0 <= kappa_b < math.inf:
+        raise ValueError(f"kappa_b must be finite and >= 1, got {kappa_b}")
+    if not 0.0 <= kappa_gg < math.inf:
+        raise ValueError(f"kappa_gg must be finite and >= 0, got {kappa_gg}")
+    if not 0.0 <= lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be finite and >= 0, got {lipschitz}")
+    if not 0.0 < gamma0 < math.inf:
+        raise ValueError(f"gamma0 must be finite and > 0, got {gamma0}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
 

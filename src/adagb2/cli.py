@@ -20,7 +20,8 @@ from .analysis import (chatzigeorgiou_bound, compute_constants,
 from .curvature import CurvatureSpec
 from .errors import ConfigurationError, NumericalError
 from .geometry import BoundBox, project_box, project_box_cap_trust
-from .harness import (ExperimentConfig, check_fit_range, fit_rate,
+from .harness import (ExperimentConfig, check_fit_range,
+                      check_markov_target, fit_rate,
                       markov_complexity_report, run_experiment,
                       theory_constants, verify_deterministic_bound,
                       write_experiment_outputs, write_summary_json)
@@ -130,7 +131,9 @@ def _cmd_mc(args) -> int:
     config = _load_config(args, force_single=False)
     if args.fit_kmin is not None:  # checked before the run, not after it
         check_fit_range(args.fit_kmin, args.fit_kmax, config.horizon)
-    if args.epsilon is not None:
+    if args.epsilon is not None:  # checked before the run, not after it
+        delta = 0.1 if args.delta is None else args.delta
+        check_markov_target(args.epsilon, delta)
         if not config.diagnostics:
             raise ConfigurationError(
                 "--epsilon needs diagnostics: min ||Xi|| is not computed with "
@@ -147,7 +150,6 @@ def _cmd_mc(args) -> int:
         print(f"rate fit over [{args.fit_kmin}, {args.fit_kmax}]: "
               f"slope={slope:.4f} r2={r2:.4f}")
     if args.epsilon is not None:
-        delta = 0.1 if args.delta is None else args.delta
         report = markov_complexity_report(exp.results, args.epsilon, delta,
                                           constants.kappa_conv_exact)
         extras["probability_report"] = report

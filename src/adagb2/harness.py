@@ -384,6 +384,15 @@ def verify_deterministic_bound(problem: TestProblem, params: SolverParams,
     )
 
 
+def check_markov_target(epsilon: float, delta: float) -> None:
+    """Raise ValueError unless epsilon is finite and > 0 and delta is in
+    (0, 1), as ``markov_complexity_report`` needs; NaN fails both."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+
+
 def markov_complexity_report(results: Sequence[RunResult], epsilon: float,
                              delta: float, kappa_conv: float) -> dict:
     """Empirical vs theoretical probability of reaching epsilon-criticality.
@@ -391,12 +400,9 @@ def markov_complexity_report(results: Sequence[RunResult], epsilon: float,
     The theoretical iteration count comes from the Markov-style corollary
     and needs delta > 1 - p_A; otherwise it is reported as infinite.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    check_markov_target(epsilon, delta)
     if any(math.isnan(r.min_xi[-1]) for r in results):
         raise ValueError("min ||Xi|| is NaN: the runs need diagnostics")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
     p_a = float(np.mean([r.event_a for r in results]))
     frac = float(np.mean([r.min_xi[-1] <= epsilon for r in results]))
     if p_a > 1.0 - delta:

@@ -271,11 +271,11 @@ class OracleStream:
         return self._shared_gen
 
 
-# The block path's scope and size, from timing run_batch both ways on
-# boxed_quadratic with Gaussian noise: it was faster through n = 16 and
-# slower from n = 24.  A block holds about BLOCK_COUNTERS Philox counters.
+# The block path's scope: run_batch's time on the block path over its time
+# with per-row draws, 1,000 iterations of boxed_quadratic, Gaussian noise,
+# zero curvature, no diagnostics, was 0.54 at n = 2, 0.98 at 16, 1.14 at 24
+# and 1.24 at 32 with 20 rows, and 1.63 at n = 24 and 1.70 at 64 with one.
 BLOCK_WORDS = 16
-BLOCK_COUNTERS = 4096
 
 
 class StreamRows:
@@ -291,15 +291,15 @@ class StreamRows:
     passes ``numpy_agrees``), and otherwise None.  Callers must not write
     into the view.  The block path computes the Philox words of a block of
     iterations at once, and resets and draws by numpy only the rows whose
-    words leave the ziggurat's fast path.  Its tables are built at the
-    first block, sized to the run.  ``horizon`` is the first iteration no
-    block reaches.
+    words leave the ziggurat's fast path.  Its blocks are the engine's: the
+    ``length`` iterations from each multiple of ``length``, the last cut at
+    ``horizon``.  Its tables are built at the first block, sized to one.
     """
 
-    def __init__(self, streams, n, horizon):
+    def __init__(self, streams, n, horizon, length):
         self.streams = streams
         self.k = 0
-        self._n, self._end = n, horizon
+        self._n, self._end, self._length = n, horizon, length
         self._block = n <= BLOCK_WORDS
         self._philox = None
         self._k0 = self._k1 = 0  # the iterations in the block
@@ -322,16 +322,15 @@ class StreamRows:
 
     def _fill(self, k):
         if self._philox is None:
-            per_iteration = len(self.streams) * -(-self._n // 4)
-            length = min(self._end, max(1, BLOCK_COUNTERS // per_iteration))
             self._philox = PhiloxBlocks([s._key for s in self.streams],
-                                        self._n, length)
-        m = min(self._philox.length, self._end - k)
-        z, fast = fast_normals(self._philox.words(k, m))
+                                        self._n, min(self._length, self._end))
+        k0 = k - k % self._length
+        m = min(self._length, self._end - k0)
+        z, fast = fast_normals(self._philox.words(k0, m))
         for j, r in zip(*np.nonzero(~fast.all(axis=-1))):
-            OracleStream.rng_shared(self.streams[r], k + int(j)
+            OracleStream.rng_shared(self.streams[r], k0 + int(j)
                                     ).standard_normal(out=z[j, r])
-        self._z, self._k0, self._k1 = z, k, k + m
+        self._z, self._k0, self._k1 = z, k0, k0 + m
 
 
 def draw(obj: Objective, x, model: NoiseModel, rngs,

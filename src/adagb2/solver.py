@@ -407,13 +407,13 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     if params.step_mode == "sign_adagrad" and curvature_spec.kind != "zero":
         raise ConfigurationError("sign_adagrad mode requires the zero provider")
     provider = make_provider(curvature_spec, obj)
-    rngs = StreamRows([OracleStream(base_seed, r) for r in replications],
-                      problem.box.n, horizon)
     box = problem.box
     reps = len(replications)
     rows = box.tile(reps)
     hist = _Histories(obj, replications, horizon, diagnostics, box,
                       provider.kappa_b, params)
+    rngs = StreamRows([OracleStream(base_seed, r) for r in replications],
+                      box.n, horizon, hist.length)
     iterates, estimates, slots = hist.iterates, hist.estimates, hist.slots
     truths, length, observe = hist.truths, hist.length, provider.observe
     # The zero operator leaves s_L^T B s_L and gamma as recorded.

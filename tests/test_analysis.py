@@ -170,6 +170,11 @@ def test_constants_validation():
                      ("lipschitz", -1.0), ("gamma0", 0.0), ("dim", 0)]:
         with pytest.raises(ValueError):
             compute_constants(**{**good, key: bad})
+    # max(3.0, nan) is 3.0, so a NaN input once gave a finite kappa_conv.
+    for key in set(good) - {"dim"}:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                compute_constants(**{**good, key: bad})
 
 
 def test_counterexample_closed_form_values():

@@ -453,6 +453,51 @@ def test_a_wrong_table_entry_turns_the_block_path_off(monkeypatch):
                for a, b in zip(block, unguarded))
 
 
+@pytest.mark.parametrize(
+    "oracle_kind, family, dim, reps, horizon, diagnostics", [
+        ("gaussian", "boxed_quadratic", 2, 20, 450, True),
+        ("affine_gaussian", "boxed_quadratic", 2, 20, 450, False),
+        ("constant_bias", "boxed_rosenbrock", 3, 1, 600, True),
+        ("gaussian", "boxed_rosenbrock", 3, 1, 600, False),
+        ("exact", "boxed_quadratic", 2, 20, 450, True),
+        ("subsample", "finite_sum_logistic", 3, 1, 300, True),
+    ])
+def test_philox_blocks_are_the_check_blocks(oracle_kind, family, dim, reps,
+                                            horizon, diagnostics, monkeypatch):
+    # One block schedule a run: the Philox words are computed once for
+    # each of the engine's check blocks, in order, the last one cut at the
+    # horizon.  Models that draw no normals compute none.
+    assert _philox.numpy_agrees()  # its check computes words, once
+    lengths, calls = [], []
+    init, words = solver._Histories.__init__, _philox.PhiloxBlocks.words
+
+    def recorded(self, *args):
+        init(self, *args)
+        lengths.append(self.length)
+
+    def counted(self, k0, m):
+        calls.append((k0, m))
+        return words(self, k0, m)
+
+    monkeypatch.setattr(solver._Histories, "__init__", recorded)
+    monkeypatch.setattr(_philox.PhiloxBlocks, "words", counted)
+    config = ExperimentConfig.from_dict({
+        "problem": {"name": family, "dim": dim, "seed": 0},
+        "oracle": ORACLES[oracle_kind],
+        "curvature": {"kind": "scalar_bb", "kappa_b": 16.0},
+        "run": {"horizon": horizon, "replications": reps, "base_seed": 7,
+                "diagnostics": diagnostics},
+    })
+    run_experiment(config)
+    length, = lengths
+    if oracle_kind in ("exact", "subsample"):
+        assert calls == []
+    else:
+        assert length < horizon  # the normals are refilled
+        assert calls == [(k0, min(length, horizon - k0))
+                         for k0 in range(0, horizon, length)]
+
+
 FAMILIES = ("boxed_quadratic", "boxed_rosenbrock", "boxed_nonconvex_quartic",
             "finite_sum_logistic")
 
@@ -502,20 +547,18 @@ def test_layout_sample_covers_the_axes():
 @pytest.mark.parametrize("name", sorted(LAYOUT_CONFIGS))
 def test_block_layout_leaves_results_unchanged(name, monkeypatch):
     # Each knob of the engine's shape, varied alone, against the default
-    # run: the check blocks (7 iterations, then 2, the fewest), Philox
-    # blocks of 37 iterations (refills at k = 37, 74 and 111), a reordered
-    # subset of the replications, and two worker processes.
+    # run: the blocks, which the checks and the Philox refills share (7
+    # iterations, then 2, the fewest), a reordered subset of the
+    # replications, and two worker processes.
     data = LAYOUT_CONFIGS[name]
     config = ExperimentConfig.from_dict(data)
     default = run_experiment(config).results
     args = (config.build_problem(), config.oracle, config.curvature,
             config.solver, config.horizon, config.base_seed)
     kw = {"diagnostics": config.diagnostics}
-    for module, knob, value in ((solver, "BLOCK", 7),
-                                (solver, "BLOCK_BYTES", 1),
-                                (oracle, "BLOCK_COUNTERS", 4 * 37)):
+    for knob, value in (("BLOCK", 7), ("BLOCK_BYTES", 1)):
         with monkeypatch.context() as m:
-            m.setattr(module, knob, value)
+            m.setattr(solver, knob, value)
             for a, b in zip(default, run_batch(*args, 4, **kw)):
                 _assert_same_result(a, b)
     for r, res in zip([3, 1], run_batch(*args, [3, 1], **kw)):

@@ -49,6 +49,17 @@ def test_constants_invalid_values(capsys):
     assert code == 2
 
 
+def test_constants_non_finite_value_is_usage_error(capsys):
+    # max(3.0, nan) is 3.0: a NaN input once printed a finite kappa_conv.
+    code = cli_main(["constants", "--sigma", "0.1", "--tau", "1",
+                     "--kappa-s", "nan", "--kappa-b", "1", "--kappa-gg", "0",
+                     "--lipschitz", "1", "--gamma0", "1", "--dim", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: kappa_s must be finite and >= 1, got nan\n"
+    assert captured.out == ""
+
+
 def test_counterexample_closed_form(capsys):
     code = cli_main(["counterexample", "--k", "1", "--reps", "0"])
     out = capsys.readouterr().out
@@ -133,6 +144,30 @@ def test_mc_bad_fit_range_is_refused_before_the_run(config_path, tmp_path,
     assert code == 2
     assert captured.err == f"error: {message}\n"
     assert runs == []
+    assert captured.out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("given, message", [
+    (["--epsilon", "nan"], "epsilon must be finite and > 0, got nan"),
+    (["--epsilon", "inf"], "epsilon must be finite and > 0, got inf"),
+    (["--epsilon", "0"], "epsilon must be finite and > 0, got 0.0"),
+    (["--epsilon", "0.1", "--delta", "1.5"],
+     "delta must be in (0, 1), got 1.5"),
+    (["--epsilon", "0.1", "--delta", "nan"],
+     "delta must be in (0, 1), got nan"),
+])
+def test_mc_bad_epsilon_or_delta_is_refused_before_the_run(
+        config_path, tmp_path, capsys, monkeypatch, given, message):
+    def no_run(config):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    out_dir = tmp_path / "out"
+    code = cli_main(["mc", "--config", config_path, "--out", str(out_dir),
+                     *given])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
     assert captured.out == "" and not out_dir.exists()
 
 

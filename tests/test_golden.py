@@ -124,7 +124,9 @@ def _configs():
 
 # Runs of R=5 with diagnostics.  Their normals come from the block path
 # (``oracle.StreamRows.block_normals``), as do those of every R=3 run above
-# with a Gaussian-type oracle: n is at most ``oracle.BLOCK_WORDS``.
+# with a Gaussian-type oracle: n is at most ``oracle.BLOCK_WORDS``.  Each
+# of these 300-iteration runs refills its block at k = 256, the start of
+# its second check block (``solver.BLOCK``).
 BLOCK_FAMILIES = ("boxed_quadratic", "boxed_rosenbrock")
 BLOCK_ORACLES = {
     "affine_gaussian": ORACLES["affine_gaussian"],
@@ -146,8 +148,10 @@ def _block_configs():
             })
 
 
-# Runs of R=20, n=2 whose horizon crosses two refills of the block path:
-# its blocks hold 204 iterations of 20 rows (``oracle.BLOCK_COUNTERS``).
+# Runs of R=20, n=2 whose horizon crosses three refills of the block path:
+# its blocks are the engine's check blocks, 117 iterations of 20 rows with
+# diagnostics (``solver._Histories.length``), refilled at k = 117, 234 and
+# 351.
 REFILL_ORACLES = {
     "gaussian": ORACLES["gaussian"],
     "affine_gaussian": ORACLES["affine_gaussian"],

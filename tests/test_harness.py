@@ -362,9 +362,11 @@ def test_markov_report():
                                    kappa_conv=100.0)
     assert 0.0 <= rep["empirical_fraction"] <= 1.0
     assert rep["k_theoretical"] > 0
-    with pytest.raises(ValueError):
-        markov_complexity_report(results, epsilon=0.0, delta=0.2,
-                                 kappa_conv=100.0)
+    for epsilon, delta in ((0.0, 0.2), (math.nan, 0.2), (math.inf, 0.2),
+                           (0.05, 1.5), (0.05, math.nan)):
+        with pytest.raises(ValueError):
+            markov_complexity_report(results, epsilon=epsilon, delta=delta,
+                                     kappa_conv=100.0)
     # Without diagnostics min ||Xi|| is NaN, which no fraction can use.
     blind = [run(prob, Gaussian(0.05), CurvatureSpec("zero"), SolverParams(),
                  50, base_seed=1, diagnostics=False)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adagb2 import _philox, oracle
+from adagb2 import _philox
 from adagb2.errors import ConfigurationError
 from adagb2.oracle import (NOISE_MODELS, AffineGaussian, BoundedUniform,
                            ConstantBias, Exact, Gaussian, OracleStream,
@@ -374,9 +374,8 @@ def test_philox_blocks_match_random_raw(k):
 @pytest.mark.parametrize("n", [2, 5])
 def test_block_normals_match_numpy(n, monkeypatch):
     # Every (iteration, row) against a fresh generator, through blocks of
-    # 14 (n = 2) or 7 (n = 5) iterations and a partial last one.  Rows with
-    # a word off the fast path are reset and drawn by numpy, and only those.
-    monkeypatch.setattr(oracle, "BLOCK_COUNTERS", 7 * 6 * 2)
+    # 7 iterations and a partial last one.  Rows with a word off the fast
+    # path are reset and drawn by numpy, and only those.
     streams = [OracleStream(2, r) for r in range(6)]
     calls = []
     reset = OracleStream.rng_shared
@@ -386,7 +385,7 @@ def test_block_normals_match_numpy(n, monkeypatch):
         return reset(stream, k)
 
     monkeypatch.setattr(OracleStream, "rng_shared", counted)
-    rows, horizon = StreamRows(streams, n, 40), 40
+    rows, horizon = StreamRows(streams, n, 40, 7), 40
     slow = []
     for k in range(horizon):
         out = rows.at(k).block_normals()
@@ -411,7 +410,7 @@ def test_draw_from_stream_rows_matches_fresh_generators(kind):
     reps = 6
     x = np.random.default_rng(3).uniform(-1.0, 1.0, (reps, 4))
     streams = [OracleStream(11, r) for r in range(reps)]
-    rows = StreamRows(streams, 4, 30)
+    rows = StreamRows(streams, 4, 30, 8)
     for k in range(30):
         block = draw(obj, x, model, rows.at(k))
         fresh = draw(obj, x, model, [s.rng(k) for s in streams])
@@ -421,11 +420,11 @@ def test_draw_from_stream_rows_matches_fresh_generators(kind):
 def test_block_path_scope():
     # Where it measured faster: at most 16 normals a row, at any row count.
     lone = OracleStream(4, 0)
-    out = StreamRows([lone], 2, 10).at(3).block_normals()
+    out = StreamRows([lone], 2, 10, 10).at(3).block_normals()
     assert out.shape == (1, 2)
     assert out[0].tobytes() == lone.rng(3).standard_normal(2).tobytes()
     streams = [OracleStream(4, r) for r in range(20)]
-    assert StreamRows(streams, 17, 10).at(0).block_normals() is None
+    assert StreamRows(streams, 17, 10, 10).at(0).block_normals() is None
 
 
 def test_block_normals_are_read_only():
@@ -436,7 +435,7 @@ def test_block_normals_are_read_only():
               ConstantBias(np.full(4, 0.03), Gaussian(0.05))]
     obj = make_test_problem("boxed_quadratic", 4, 0).objective
     x = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 4))
-    rows = StreamRows([OracleStream(8, r) for r in range(3)], 4, 20)
+    rows = StreamRows([OracleStream(8, r) for r in range(3)], 4, 20, 8)
     for k in (0, 7, 19):
         assert rows.at(k).block_normals() is not None
         for model in models:
