@@ -191,6 +191,11 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    for k in args.k:  # checked before anything is printed
+        if k < 1:
+            raise ConfigurationError(f"--k must be >= 1, got {k}")
+    if args.reps < 0:
+        raise ConfigurationError(f"--reps must be >= 0, got {args.reps}")
     print("k,p,abs_xi,e_abs_d,ratio")
     for k in args.k:
         row = counterexample_closed_form(k)

@@ -12,6 +12,7 @@ replication per row, with one quadratic form per row (Barzilai-Borwein
 keeps one scalar per row), each bit-identical to a one-row call on its row.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,9 @@ class CurvatureSpec:
             raise ValueError(
                 f"unknown curvature kind {self.kind!r}; choose from {CURVATURE_KINDS}"
             )
-        if not self.kappa_b >= 1.0:  # NaN fails too
-            raise ValueError(f"kappa_b must be >= 1, got {self.kappa_b}")
+        if not 1.0 <= self.kappa_b < math.inf:  # NaN fails too
+            raise ValueError(
+                f"kappa_b must be finite and >= 1, got {self.kappa_b}")
 
 
 class CurvatureProvider:

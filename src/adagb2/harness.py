@@ -81,16 +81,27 @@ def _floats(where: str, values: list) -> tuple:
                  for i, v in enumerate(values))
 
 
+def _finite(where: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{where}: must be finite, got {value}")
+    return value
+
+
 def _from_section(sec: _Section, cls):
     """A ``cls`` from the keys of ``sec``, one per field of ``cls``, each
-    read as its field's type; a field with a default may be left out."""
+    read as its field's type; a field with a default may be left out.
+    Float fields and the entries of float-vector fields must be finite."""
     values = {}
     for f in fields(cls):
         where = f"{sec.name}.{f.name}"
         if f.type is NoiseModel:
             values[f.name] = _parse_oracle(where, sec.take(f.name, dict))
         elif f.type is np.ndarray:
-            values[f.name] = np.array(_floats(where, sec.take(f.name, list)))
+            entries = _floats(where, sec.take(f.name, list))
+            values[f.name] = np.array([_finite(f"{where}[{i}]", v)
+                                       for i, v in enumerate(entries)])
+        elif f.type is float:
+            values[f.name] = _finite(where, sec.take(f.name, float, f.default))
         else:
             values[f.name] = sec.take(f.name, f.type, f.default)
     try:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._philox import PhiloxBlocks, fast_normals, numpy_agrees
 from .errors import ConfigurationError
-from .problem import Objective
+from .problem import Objective, Tiles
 
 
 class NoiseModel:
@@ -146,6 +146,8 @@ class ConstantBias(NoiseModel):
         )
         if np.isnan(self.bias).any():
             raise ValueError(f"bias must not be NaN, got {self.bias}")
+        # The bias as an operand of the estimates' shape: the same sums.
+        object.__setattr__(self, "_bias", Tiles(self.bias).of)
 
     @property
     def needs_true(self):
@@ -153,7 +155,7 @@ class ConstantBias(NoiseModel):
 
     def sample(self, obj, x, rngs, g_true, out):
         self.inner.sample(obj, x, rngs, g_true, out)
-        out += self.bias
+        out += self._bias(out)
 
     def validate(self, obj, n):
         if self.bias.shape != (n,):

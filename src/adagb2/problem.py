@@ -44,6 +44,12 @@ class Objective:
     per block, on the (m, R, n) stack of the block's iterates, and
     ``diagonal_fd`` calls ``grad`` on (n, R, n) stacks.  ``term_grad``
     takes a single point.
+
+    A coefficient vector (n,) should meet a stack as an operand of the
+    stack's shape, not broadcast over its rows: numpy runs same-shape
+    operands several times faster on the engine's short rows, with the same
+    bits, since every product and sum is elementwise.  ``Tiles`` keeps such
+    copies, one per shape met.
     """
 
     f: Callable[[np.ndarray], float]
@@ -77,6 +83,46 @@ def _value(total):
     return float(total) if total.ndim == 0 else total
 
 
+class Tiles:
+    """Read-only copies of a coefficient array c, one for each shape met.
+
+    ``of(x)`` is c broadcast to x's shape as an array of its own, or c
+    itself where c does not broadcast to that shape (there the broadcast
+    formula gives what it gave).  Elementwise products and sums with it
+    have the bits of those with c.  A few shapes recur in a run, so the
+    cache is emptied when it holds eight.
+    """
+
+    __slots__ = ("c", "shapes")
+
+    def __init__(self, c):
+        self.c = c
+        self.shapes = {}
+
+    def __reduce__(self):  # a copy or unpickled one starts empty
+        return Tiles, (self.c,)
+
+    def of(self, x):
+        try:
+            return self.shapes[x.shape]
+        except (AttributeError, KeyError):
+            return self._new(np.shape(x))
+
+    def _new(self, shape):
+        shapes = self.shapes
+        tile = shapes.get(shape)
+        if tile is None:
+            try:
+                tile = np.broadcast_to(self.c, shape).copy()
+            except ValueError:
+                return self.c
+            tile.flags.writeable = False
+            if len(shapes) == 8:
+                shapes.clear()
+            shapes[shape] = tile
+        return tile
+
+
 class ConstantBound:
     """``hess_bound`` of a Hessian norm bound that holds on the whole box."""
 
@@ -107,10 +153,12 @@ def quadratic_problem(a_diag, b, lower, upper, x_ini, name="boxed_quadratic"):
     x_star = np.clip(b / a, box.lower, box.upper)
     f_min = float(np.sum(0.5 * a * x_star**2 - b * x_star))
 
+    # 0.5 * a * x * x is (0.5 * a) * x * x; each coefficient meets x tiled.
+    half_a, tile_a, tile_b = (Tiles(c).of for c in (0.5 * a, a, b))
     objective = Objective(
-        f=lambda x: _value((0.5 * a * x * x - b * x).sum(axis=-1)),
-        grad=lambda x: a * x - b,
-        hess_vec=lambda x, v: a * v,
+        f=lambda x: _value((half_a(x) * x * x - tile_b(x) * x).sum(axis=-1)),
+        grad=lambda x: tile_a(x) * x - tile_b(x),
+        hess_vec=lambda x, v: tile_a(v) * v,
         hess_bound=ConstantBound(float(a.max())),
         f_low=f_min,
         lipschitz=float(a.max()),

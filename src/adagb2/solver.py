@@ -25,6 +25,7 @@ the same elementwise and row-wise operations and all monitors are
 checked, so every row gets the bits its replication gets alone.
 """
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
@@ -74,8 +75,9 @@ class SolverParams:
             raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if not self.kappa_s >= 1.0:  # NaN fails too
-            raise ValueError(f"kappa_s must be >= 1, got {self.kappa_s}")
+        if not 1.0 <= self.kappa_s < math.inf:  # NaN fails too
+            raise ValueError(
+                f"kappa_s must be finite and >= 1, got {self.kappa_s}")
         if self.step_mode not in STEP_MODES:
             raise ValueError(
                 f"unknown step_mode {self.step_mode!r}; choose from {STEP_MODES}"
@@ -100,8 +102,12 @@ def _rows_all(a):
     return a.view(row)[..., 0] == np.ones(a.shape[-1], bool).view(row)[0]
 
 
-def _vector_checks(x, s, delta, box: BoundBox, kappa_s):
-    """The feasible and step_bound monitors over the last axis of x + s."""
+def _vector_checks(x, s, delta, box: TiledBox, kappa_s):
+    """The feasible and step_bound monitors over the last axis of x + s.
+
+    ``box`` holds the bounds of x's trailing shape (R, n), broadcast over
+    a block's iterations: cheaper than (n,) bounds, with the same bits.
+    """
     x_raw = x + s  # the step's bits before its reprojection
     tol = SLACK * (1.0 + np.abs(x))
     inside = (x_raw >= box.lower - tol) & (x_raw <= box.upper + tol)
@@ -262,9 +268,9 @@ class _Histories:
     only a provider other than zero overwrites.
     """
 
-    def __init__(self, obj, replications, horizon, diagnostics, box,
-                 kappa_b, params):
-        reps, n = len(replications), box.n
+    def __init__(self, obj, replications, horizon, diagnostics,
+                 rows: TiledBox, provider, params):
+        reps, n = len(replications), rows.n
         shape = (reps, horizon)
         for name in HISTORIES:  # NaN stays where a diagnostic is not computed
             setattr(self, name, np.zeros(shape, np.int64)
@@ -285,7 +291,9 @@ class _Histories:
         self.failed = np.zeros((reps, len(self.checked)), dtype=np.int64)
         self._f = obj.f if diagnostics else None
         self._replications = replications
-        self._box, self._limits = box, (kappa_b, params)
+        # The run's (R, n) bounds, broadcast over a block's iterations.
+        self._rows, self._limits = rows, (provider.kappa_b, params)
+        self._zero = type(provider) is ZeroCurvature
 
     def check_objective(self, k0, m):
         """Record f at iterates k0 to k0 + m - 1, in iterates 0 to m - 1.
@@ -311,39 +319,43 @@ class _Histories:
         """
         self.check_objective(k0, m)
         kappa_b, params = self._limits
-        box = self._box
+        rows = self._rows
         qf_sl, gamma = self.scalars[:, :m]  # (m, R)
         x = self.x[:m]
         g, d, w, delta, s_l, *g_true = self.vectors[:, :m]
         g_sl = np.vecdot(g, s_l)
-        if params.step_mode == "cauchy":
-            # 1.0 * s_L is s_L bit for bit; g.s_Q is g.s.
+        norm_sl_sq = np.vecdot(s_l, s_l)
+        # s^T B s = gamma^2 s_L^T B s_L.  The zero operator, which
+        # sign_adagrad requires, records s_L^T B s_L = +0.0 and gamma = 1,
+        # so s^T B s is the recorded +0.0; under cauchy s = 1.0 * s_L is s_L
+        # bit for bit, so g.s = g.s_L and ||s||^2 = ||s_L||^2 as well.
+        if params.step_mode == "sign_adagrad":  # g.s_Q is g.s_L
+            s = _sign_step(x, g, delta, s_l, rows, params.tau)
+            g_s, g_sq, qf_s = np.vecdot(g, s), g_sl, qf_sl
+        elif self._zero:
+            s, g_s, g_sq, qf_s = s_l, g_sl, g_sl, qf_sl
+        else:  # g.s_Q is g.s
             s = gamma[..., None] * s_l
             g_s = g_sq = np.vecdot(g, s)
-        else:  # sign_adagrad, with B = 0: gamma is 1 and g.s_Q is g.s_L
-            s = _sign_step(x, g, delta, s_l, box, params.tau)
-            g_s, g_sq = np.vecdot(g, s), g_sl
-        # s^T B s = gamma^2 s_L^T B s_L: s = gamma s_L for cauchy, and
-        # sign_adagrad runs with B = 0, where s_L^T B s_L = +0.0 and gamma = 1.
-        inputs = (g_sl, g_s, g_sq, qf_sl, gamma * gamma * qf_sl,
-                  (d * d / w).sum(axis=-1), np.vecdot(s_l, s_l),
-                  np.vecdot(delta, delta))
+            qf_s = gamma * gamma * qf_sl
+        inputs = (g_sl, g_s, g_sq, qf_sl, qf_s, (d * d / w).sum(axis=-1),
+                  norm_sl_sq, np.vecdot(delta, delta))
         norm_d = np.sqrt(np.vecdot(d, d))
         block = np.s_[:, k0:k0 + m]
         self.norm_d[block] = norm_d.T
         self.gamma[block] = gamma.T
-        self.step_sq[block] = np.vecdot(s, s).T
+        self.step_sq[block] = (norm_sl_sq if s is s_l else np.vecdot(s, s)).T
         xi = None
         if g_true:
             g_true, = g_true
-            xi_k = geometry.project_box(x - g_true, box) - x
+            xi_k = geometry.project_box(x - g_true, rows) - x
             e = g - g_true
             norm_xi, err = np.sqrt(np.vecdot(xi_k, xi_k)), np.sqrt(np.vecdot(e, e))
             self.norm_xi[block] = norm_xi.T
             self.err_norm[block] = err.T
             xi = norm_xi, norm_d, err
         bad = ~np.stack(_monitor_checks(
-            inputs, *_vector_checks(x, s, delta, box, params.kappa_s),
+            inputs, *_vector_checks(x, s, delta, rows, params.kappa_s),
             xi, kappa_b, params))  # (monitors, m, R)
         self.failed += bad.sum(axis=1).T
         self.violation_count[block] = bad.sum(axis=0).T
@@ -410,8 +422,8 @@ def run_batch(problem: TestProblem, oracle_model: NoiseModel,
     box = problem.box
     reps = len(replications)
     rows = box.tile(reps)
-    hist = _Histories(obj, replications, horizon, diagnostics, box,
-                      provider.kappa_b, params)
+    hist = _Histories(obj, replications, horizon, diagnostics, rows,
+                      provider, params)
     rngs = StreamRows([OracleStream(base_seed, r) for r in replications],
                       box.n, horizon, hist.length)
     iterates, estimates, slots = hist.iterates, hist.estimates, hist.slots

@@ -23,7 +23,7 @@ from adagb2.harness import (ExperimentConfig, ExperimentResult,
 from adagb2.oracle import (AffineGaussian, BoundedUniform, ConstantBias,
                            Exact, Gaussian, OracleStream, RelativeBias,
                            Subsample, draw)
-from adagb2.problem import Objective
+from adagb2.problem import Objective, quadratic_problem
 from adagb2.problem import TestProblem as BoxProblem  # avoid pytest collection
 from adagb2.solver import SolverParams, run, run_batch
 
@@ -567,3 +567,49 @@ def test_block_layout_leaves_results_unchanged(name, monkeypatch):
     for a, b in zip(default, run_experiment(
             ExperimentConfig.from_dict(two)).results):
         _assert_same_result(a, b)
+
+
+@pytest.mark.parametrize("curvature", CURVATURES)
+def test_lone_runs_around_a_batch_of_another_size(curvature):
+    # One problem and one oracle model serve every run, so their tiles of
+    # the coefficients and the bias outlive each run: a lone run after a
+    # batch of 5 rows (and diagonal_fd's (n, 5, n) stacks) gets its bytes.
+    config = _config("constant_bias", curvature, problem="boxed_quadratic")
+    args = (config.build_problem(), config.oracle, config.curvature,
+            config.solver, config.horizon, config.base_seed)
+    before = run(*args, replication=1)
+    batch = run_batch(*args, replications=5)
+    after = run(*args, replication=1)
+    _assert_same_result(before, after)
+    _assert_same_result(before, batch[1])
+
+
+@pytest.mark.parametrize("diagnostics", (True, False))
+@pytest.mark.parametrize("far", (False, True))
+def test_zero_operator_block_pass_matches_the_explicit_cauchy_pass(
+        far, diagnostics, monkeypatch):
+    # Under the zero operator the block pass takes s = s_L, g.s = g.s_L,
+    # ||s||^2 = ||s_L||^2 and s^T B s = +0.0 as known; the general pass
+    # computes gamma * s_L and its products.  Every bit must agree.  Far
+    # from 0, d and Xi round x - g at the scale of |x| = 1e7, so
+    # xi_triangle fails in many iterations: monitor counts to compare.
+    problem = (quadratic_problem([1.0], [1e7 - 0.5], [-np.inf], [np.inf],
+                                 [1e7]) if far else
+               _config("gaussian", "zero", problem="boxed_quadratic"
+                       ).build_problem())
+    args = (problem, Gaussian(0.1), CurvatureSpec("zero"), SolverParams(),
+            300, 1)
+    known = run_batch(*args, replications=4, diagnostics=diagnostics)
+    init = solver._Histories.__init__
+
+    def explicit(self, *a):
+        init(self, *a)
+        assert self._zero
+        self._zero = False
+
+    monkeypatch.setattr(solver._Histories, "__init__", explicit)
+    computed = run_batch(*args, replications=4, diagnostics=diagnostics)
+    for a, b in zip(known, computed):
+        _assert_same_result(a, b)
+    if diagnostics and far:
+        assert sum(res.violations["xi_triangle"] for res in known) > 0

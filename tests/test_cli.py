@@ -67,6 +67,20 @@ def test_counterexample_closed_form(capsys):
     assert "1,0.75,0.5,0.375," in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "1", "-1"], "--k must be >= 1, got -1"),
+    (["--k", "0", "--reps", "0"], "--k must be >= 1, got 0"),
+    (["--reps", "-2"], "--reps must be >= 0, got -2"),
+])
+def test_counterexample_checks_its_flags_before_printing(capsys, flags,
+                                                         message):
+    code = cli_main(["counterexample", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_counterexample_simulation(capsys):
     code = cli_main(["counterexample", "--k", "9", "--reps", "5000",
                      "--seed", "1"])
@@ -169,6 +183,52 @@ def test_mc_bad_epsilon_or_delta_is_refused_before_the_run(
     assert code == 2
     assert captured.err == f"error: {message}\n"
     assert captured.out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("section, values, message", [
+    # inf made ExactClipped's scale NaN: 150 spurious violations, exit 1.
+    ("curvature", {"kind": "exact_clipped", "kappa_b": float("inf")},
+     "curvature.kappa_b: must be finite, got inf"),
+    ("solver", {"kappa_s": 1e999}, "solver.kappa_s: must be finite, got inf"),
+    ("oracle", {"kind": "gaussian", "sigma": float("inf")},
+     "oracle.sigma: must be finite, got inf"),
+    ("oracle", {"kind": "relative_bias", "rho": -float("inf"),
+                "inner": {"kind": "exact"}},
+     "oracle.rho: must be finite, got -inf"),
+    ("oracle", {"kind": "constant_bias", "bias": [0.1, 0.0, 0.0],
+                "inner": {"kind": "affine_gaussian", "kappa1": 0.1,
+                          "kappa2": float("inf")}},
+     "oracle.inner.kappa2: must be finite, got inf"),
+], ids=["kappa_b", "kappa_s", "sigma", "rho", "inner_kappa2"])
+def test_mc_non_finite_config_value_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch, section, values, message):
+    def no_run(config):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({**CONFIG, section: values}))  # Infinity
+    out_dir = tmp_path / "out"
+    code = cli_main(["mc", "--config", str(path), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--kappa-s", "--kappa-b"])
+def test_verify_deterministic_infinite_kappa_is_refused_before_the_run(
+        capsys, monkeypatch, flag):
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify_deterministic_bound was called")
+
+    monkeypatch.setattr(cli, "verify_deterministic_bound", no_run)
+    code = cli_main(["verify-deterministic", flag, "inf"])
+    captured = capsys.readouterr()
+    name = flag[2:].replace("-", "_")
+    assert code == 2
+    assert captured.err == f"error: {name} must be finite and >= 1, got inf\n"
+    assert captured.out == ""
 
 
 def test_mc_delta_without_epsilon_is_usage_error(config_path, tmp_path,

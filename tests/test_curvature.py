@@ -20,6 +20,10 @@ def test_spec_validation():
         CurvatureSpec("nope")
     with pytest.raises(ValueError):
         CurvatureSpec("zero", 0.5)  # kappa_b below 1
+    for kappa_b in (np.inf, np.nan):  # inf made ExactClipped's scale NaN
+        with pytest.raises(ValueError, match=f"^kappa_b must be finite and "
+                                             f">= 1, got {kappa_b}$"):
+            CurvatureSpec("exact_clipped", kappa_b)
 
 
 def test_zero_provider():

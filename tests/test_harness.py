@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -203,6 +205,67 @@ def test_parse_every_oracle_kind(kind):
                            match=rf"^{where}: unknown keys: extra"):
             ExperimentConfig.from_dict(_config(oracle=data))
         del section["extra"]
+
+
+def _oracle_config(cls):
+    """A valid config of noise model ``cls``: its required keys only."""
+    data = {"kind": cls.kind}
+    for f in fields(cls):
+        if f.default is dataclasses.MISSING:
+            data[f.name] = {NoiseModel: {"kind": "exact"},
+                            np.ndarray: [0.5] * 4,  # BASE_CONFIG's dim
+                            float: 0.5, int: 1}[f.type]
+    return data
+
+
+def _spoiled(cls, data, where, bad):
+    """Copies of ``data``, a config of ``cls``, each with one float field,
+    or one entry of a float-vector field, set to ``bad``; the key the
+    error must name."""
+    for f in fields(cls):
+        if f.type is float:
+            yield {**data, f.name: bad}, f"{where}.{f.name}"
+        elif f.type is np.ndarray:
+            yield ({**data, f.name: [0.5, bad, 0.5, 0.5]},
+                   f"{where}.{f.name}[1]")
+
+
+def _non_finite_configs(bad):
+    """Configs with one non-finite float, found by introspection: every
+    float field of SolverParams, CurvatureSpec and each noise model, and
+    of each noise model nested as a wrapper's inner model."""
+    for section, cls in (("solver", SolverParams),
+                         ("curvature", CurvatureSpec)):
+        for values, key in _spoiled(cls, BASE_CONFIG[section], section, bad):
+            yield _config(**{section: values}), key
+    for outer in NOISE_MODELS.values():
+        outer_data = _oracle_config(outer)
+        for data, key in _spoiled(outer, outer_data, "oracle", bad):
+            yield _config(oracle=data), key
+        for f in fields(outer):
+            if f.type is not NoiseModel:
+                continue
+            for inner in NOISE_MODELS.values():
+                for data, key in _spoiled(inner, _oracle_config(inner),
+                                          f"oracle.{f.name}", bad):
+                    yield _config(oracle={**outer_data, f.name: data}), key
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_every_non_finite_float(bad):
+    keys = set()
+    for data, key in _non_finite_configs(bad):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(key)}: must be finite, "
+                                 rf"got {bad}$"):
+            ExperimentConfig.from_dict(json.loads(json.dumps(data)))
+        keys.add(key)
+    # The sweep reaches the fields it is meant to, the nested ones too.
+    assert {"solver.sigma", "solver.tau", "solver.kappa_s",
+            "curvature.kappa_b", "oracle.sigma", "oracle.radius",
+            "oracle.kappa1", "oracle.kappa2", "oracle.bias[1]",
+            "oracle.rho", "oracle.inner.sigma", "oracle.inner.bias[1]",
+            "oracle.inner.rho"} <= keys
 
 
 def test_config_file_errors(tmp_path):

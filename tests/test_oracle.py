@@ -159,6 +159,21 @@ def test_constant_bias_shifts_mean():
     assert err == pytest.approx(np.linalg.norm(bias))
 
 
+@pytest.mark.parametrize("shape", [(1, 4), (20, 4), (117, 20, 4)])
+def test_constant_bias_keeps_the_bits_of_the_broadcast_sum(shape):
+    bias = np.array([-0.0, 5e-324, np.inf, -2.5])
+    model = ConstantBias(bias, Exact())
+    rng = np.random.default_rng(3)
+    g_true = rng.choice([0.0, -0.0, -5e-324, 1e-310, -np.inf, 1.25, 3.0],
+                        size=shape)
+    out = np.empty(shape)
+    with np.errstate(invalid="ignore"):
+        model.sample(OBJ, g_true, None, g_true, out)
+        want = g_true + bias
+    assert out.tobytes() == want.tobytes()
+    assert model.bias.flags.writeable  # the field itself stays as given
+
+
 def test_relative_bias():
     x = np.full(6, 0.5)
     g, g_true, _ = _one(OBJ, x, RelativeBias(0.1, Exact()),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adagb2.problem import (PROBLEM_NAMES, check_smoothness,
+from adagb2.problem import (PROBLEM_NAMES, Tiles, check_smoothness,
                             make_test_problem, quadratic_problem)
 
 
@@ -363,3 +363,52 @@ def test_logistic_term_grad_keeps_the_bits_of_the_plain_formula():
         s = 1.0 / (1.0 + np.exp(-(rows @ x)))
         want = (rows.T @ s) / len(indices)
         assert obj.term_grad(x, indices).tobytes() == want.tobytes()
+
+
+# Inputs at the edges of the float range: both zeros, subnormals, the
+# largest finite value and both infinities, among ordinary values.
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.5, -2.75,
+                   1.7976931348623157e308, np.inf, -np.inf, 1e-300])
+
+
+def _edge_stack(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.choice(_EDGES, size=shape) * rng.choice([1.0, 3.0], size=shape)
+
+
+@pytest.mark.parametrize("shape", [(3,), (20, 3), (117, 20, 3), (3, 20, 3)])
+def test_tiled_quadratic_keeps_the_bits_of_the_broadcast_formulas(shape):
+    # The coefficients meet x as tiles of x's shape; the bits are those of
+    # the (n,) vectors broadcast over the stack, NaN from inf - inf too.
+    a, b = np.array([1.0, 2.5, 4.0]), np.array([1.0, -0.0, 5e-324])
+    obj = quadratic_problem(a, b, np.zeros(3), np.ones(3), np.zeros(3)
+                            ).objective
+    with np.errstate(invalid="ignore", over="ignore"):
+        for seed in range(3):
+            x, v = _edge_stack(shape, seed), _edge_stack(shape, seed + 10)
+            f = (0.5 * a * x * x - b * x).sum(axis=-1)
+            assert np.asarray(obj.f(x)).tobytes() == f.tobytes()
+            assert obj.grad(x).tobytes() == (a * x - b).tobytes()
+            assert obj.hess_vec(x, v).tobytes() == (a * v).tobytes()
+
+
+def test_tiles_are_read_only_and_of_the_operand_shape():
+    tiles = Tiles(np.array([1.0, -0.0]))
+    for shape in ((2,), (4, 2), (3, 4, 2)):
+        tile = tiles.of(np.zeros(shape))
+        assert tile.shape == shape and not tile.flags.writeable
+        assert tile.tobytes() == np.broadcast_to(tiles.c, shape).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            tile[...] = 1.0
+        assert tiles.of(np.ones(shape)) is tile  # one tile per shape
+    # A shape c does not broadcast to gets c itself, as the formula would.
+    assert tiles.of(np.zeros((4, 1))) is tiles.c
+
+
+def test_tile_cache_stays_bounded():
+    tiles = Tiles(np.arange(3.0))
+    for rows in range(1, 200):
+        tile = tiles.of(np.zeros((rows, 3)))
+        assert tile.shape == (rows, 3)
+        assert len(tiles.shapes) <= 8
+    assert tiles.of(np.zeros((5, 3))).tobytes() == np.tile(tiles.c, 5).tobytes()

@@ -30,6 +30,10 @@ def test_params_validation():
         SolverParams(tau=0.0)
     with pytest.raises(ValueError):
         SolverParams(kappa_s=0.5)
+    for kappa_s in (np.inf, np.nan):  # inf * 0 is NaN in step_bound
+        with pytest.raises(ValueError, match=f"^kappa_s must be finite and "
+                                             f">= 1, got {kappa_s}$"):
+            SolverParams(kappa_s=kappa_s)
     with pytest.raises(ValueError):
         SolverParams(step_mode="newton")
     # The first-order method is the zero-curvature case of cauchy.
